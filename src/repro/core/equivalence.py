@@ -26,6 +26,27 @@ from .simulate import simulate_words, truth_tables
 #: PI-count threshold below which exhaustive checking is used.
 EXHAUSTIVE_LIMIT = 14
 
+#: Seed of the random-simulation patterns.
+RANDOM_SEED = 2017
+
+
+def random_word_count(n_nodes: int) -> int:
+    """64-pattern words simulated for graphs of up to *n_nodes* nodes.
+
+    Bounds the simulation matrix to ~tens of MB for huge netlists.
+    """
+    return max(4, min(256, (1 << 21) // max(n_nodes, 1)))
+
+
+def random_words(
+    n_pis: int, n_words: int, seed: int = RANDOM_SEED
+) -> np.ndarray:
+    """``(n_pis, n_words)`` seeded random pattern words."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(
+        0, 2**63, size=(n_pis, n_words), dtype=np.int64
+    ).astype(np.uint64)
+
 
 @dataclass
 class EquivalenceResult:
@@ -54,7 +75,7 @@ def check_equivalence(
     first: Mig,
     second: Mig,
     n_random_words: int | None = None,
-    seed: int = 2017,
+    seed: int = RANDOM_SEED,
     use_sat: bool = False,
 ) -> EquivalenceResult:
     """Check whether two MIGs implement the same multi-output function."""
@@ -74,13 +95,8 @@ def check_equivalence(
         return EquivalenceResult(equal, "sat", model)
 
     if n_random_words is None:
-        # bound the simulation matrix to ~tens of MB for huge netlists
-        biggest = max(first.n_nodes, second.n_nodes)
-        n_random_words = max(4, min(256, (1 << 21) // max(biggest, 1)))
-    rng = np.random.default_rng(seed)
-    words = rng.integers(
-        0, 2**63, size=(first.n_pis, n_random_words), dtype=np.int64
-    ).astype(np.uint64)
+        n_random_words = random_word_count(max(first.n_nodes, second.n_nodes))
+    words = random_words(first.n_pis, n_random_words, seed)
     out_first = simulate_words(first, words)
     out_second = simulate_words(second, words)
     if np.array_equal(out_first, out_second):

@@ -107,10 +107,7 @@ def truth_tables(mig: Mig, max_inputs: int = 20) -> list[int]:
         )
     n_patterns = 1 << n
     n_words = max(1, n_patterns // 64)
-    pi_words = np.zeros((n, n_words), dtype=_WORD)
-    for i in range(n):
-        pi_words[i] = _variable_words(i, n_patterns, n_words)
-    out_words = simulate_words(mig, pi_words)
+    out_words = simulate_words(mig, exhaustive_words(n))
     tables: list[int] = []
     mask = (1 << n_patterns) - 1
     for row in range(mig.n_pos):
@@ -119,6 +116,21 @@ def truth_tables(mig: Mig, max_inputs: int = 20) -> list[int]:
             value = (value << 64) | int(out_words[row, w])
         tables.append(value & mask)
     return tables
+
+
+def exhaustive_words(n_inputs: int) -> np.ndarray:
+    """``(n_inputs, words)`` pattern words enumerating every input pattern.
+
+    Bit *p* of the packed patterns (bit ``p % 64`` of word ``p // 64``)
+    holds ``(p >> i) & 1`` for input *i*; with fewer than six inputs the
+    one word repeats the ``2**n`` patterns.
+    """
+    n_patterns = 1 << n_inputs
+    n_words = max(1, n_patterns // 64)
+    pi_words = np.zeros((n_inputs, n_words), dtype=_WORD)
+    for i in range(n_inputs):
+        pi_words[i] = _variable_words(i, n_patterns, n_words)
+    return pi_words
 
 
 #: Within-word projection masks: bit p of ``_PROJECTIONS[i]`` is (p >> i) & 1.

@@ -14,7 +14,12 @@ buffers per fan-out member, visited in sorted xBD order).  A second pass pads
 every primary output up to the maximum output base distance.
 
 Because balancing never changes the level of an existing component, both
-passes work off a single level computation.
+passes work off a single level computation: the cached
+:meth:`~repro.core.wavepipe.components.WaveNetlist.levels` and consumer map
+of the input netlist.  Drivers whose consumers all sit one level below them
+need no chain and are skipped with one vectorized test; the chains run over
+a :class:`~repro.core.wavepipe.components.NetlistEdit` written back as
+arrays in one step.
 
 When a ``fanout_limit`` is given (the combined FOx+BUF flow), tap positions
 respect the limit: a chain position may serve at most ``limit - 1`` consumers
@@ -28,8 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ...errors import FanoutError
-from .components import Kind, WaveNetlist
+from .components import Kind, NetlistEdit, WaveNetlist
 
 
 @dataclass
@@ -56,17 +63,17 @@ class _Chain:
     ``positions[j]`` holds the literals of the buffers at offset ``j + 1``
     levels past the driver (parallel siblings when fan-out pressure demands
     widening).  ``load[lit]`` tracks the fan-out already placed on every
-    carrier literal.
+    carrier literal; *load* is the driver's own to start with.
     """
 
     def __init__(
-        self, netlist: WaveNetlist, driver: int, limit: int | None
+        self, edit: NetlistEdit, driver: int, limit: int | None, load: int = 0
     ) -> None:
-        self.netlist = netlist
+        self.edit = edit
         self.driver_lit = driver << 1
         self.limit = limit
         self.positions: list[list[int]] = []
-        self.load: dict[int, int] = {self.driver_lit: 0}
+        self.load: dict[int, int] = {self.driver_lit: load}
         self.buffers = 0
 
     def _carrier_with_capacity(self, position: int) -> int:
@@ -91,7 +98,7 @@ class _Chain:
     def _spawn(self, position: int) -> int:
         """Create one buffer at 1-based *position* (extend tip or widen)."""
         source = self._carrier_with_capacity(position - 1)
-        lit = int(self.netlist.add_buf(source))
+        lit = self.edit.add(Kind.BUF, source)
         self.load[source] += 1
         self.load[lit] = 0
         if len(self.positions) < position:
@@ -134,83 +141,94 @@ def insert_buffers(
         Run the second pass equalizing all output base distances (the paper
         always does; disabling it is exposed for ablation studies).
     """
-    work = _copy(netlist)
-    levels = work.levels()
-    depth_before = work.depth(levels)
-    consumers, po_refs = work.consumer_map()
-
+    consumers = netlist.consumers()
+    level_array = netlist.levels()
+    depth_before = netlist.depth()
     if fanout_limit is not None:
-        _check_feasible(work, fanout_limit)
+        _check_feasible(netlist, fanout_limit)
 
+    drivers = consumers.driver
+    gaps = level_array[consumers.component] - level_array[drivers] - 1
+    # only drivers with a consumer more than one level on need a chain
+    # (the constant carries no waves and is never balanced)
+    chained = np.unique(drivers[(gaps > 0) & (drivers != 0)])
+
+    levels = level_array.tolist()
+    ptr = consumers.ptr.tolist()
+    components = consumers.component.tolist()
+    positions = consumers.position.tolist()
+    edit = NetlistEdit(netlist)
+    fanins = edit.fanins
     chains: dict[int, _Chain] = {}
     buffers_added = 0
 
     # Pass 1: balance every driver -> consumer edge via shared chains.
-    # Iterating over the original component range only: buffers appended
-    # during the loop are already balanced by construction.
-    original_count = netlist.n_components
-    for driver in range(1, original_count):
-        if work.kind(driver) == Kind.CONST:
-            continue
-        edges = consumers[driver]
-        if not edges:
-            continue
+    for driver in chained.tolist():
         driver_level = levels[driver]
         # sort fan-out by max xBD (= consumer level - 1), the paper's order
-        edges = sorted(edges, key=lambda edge: levels[edge[0]])
-        chain = _Chain(work, driver, fanout_limit)
-        for component, position in edges:
-            gap = levels[component] - driver_level - 1
-            original_lit = netlist.fanins(component)[position]
-            tap_lit = chain.tap(gap)
-            work.set_fanin(component, position, tap_lit | (original_lit & 1))
-        # keep zero-length chains too: pass 2 must see their load accounting
+        edges = sorted(
+            range(ptr[driver], ptr[driver + 1]),
+            key=lambda edge: levels[components[edge]],
+        )
+        chain = _Chain(edit, driver, fanout_limit)
+        for edge in edges:
+            component = components[edge]
+            slot = 3 * component + positions[edge]
+            tap_lit = chain.tap(levels[component] - driver_level - 1)
+            fanins[slot] = tap_lit | (fanins[slot] & 1)
         chains[driver] = chain
         buffers_added += chain.buffers
 
     # Pass 2: pad all outputs to the maximum output base distance.
     padding = 0
-    if pad_outputs and work.n_outputs:
-        max_bd = max(levels[lit >> 1] for lit in work.outputs)
-        for driver in range(original_count):
-            if not po_refs[driver] or driver == 0:
-                continue
+    outputs = edit.outputs
+    if pad_outputs and outputs:
+        max_bd = max(levels[lit >> 1] for lit in outputs)
+        po_ptr = consumers.po_ptr.tolist()
+        po_index = consumers.po_index.tolist()
+        for driver in np.flatnonzero(np.diff(consumers.po_ptr)).tolist():
             gap = max_bd - levels[driver]
-            if gap == 0:
+            if driver == 0 or gap == 0:
                 continue
             chain = chains.get(driver)
             if chain is None:
-                chain = _Chain(work, driver, fanout_limit)
+                # a driver without a pass-1 chain taps its consumers
+                # straight off its own output
+                chain = _Chain(
+                    edit, driver, fanout_limit, load=ptr[driver + 1] - ptr[driver]
+                )
                 chains[driver] = chain
             before = chain.buffers
-            for po_index in po_refs[driver]:
-                original_lit = netlist.outputs[po_index]
-                tap_lit = chain.tap(gap)
-                work.set_output(po_index, int(tap_lit) | (int(original_lit) & 1))
+            for po in po_index[po_ptr[driver]:po_ptr[driver + 1]]:
+                outputs[po] = chain.tap(gap) | (outputs[po] & 1)
             padding += chain.buffers - before
             buffers_added += chain.buffers - before
 
-    depth_after = work.depth()
+    result = edit.finish()
+    # drivers with consumers first, then output-only drivers, each in
+    # index order: the order the chains of a full pass 1 would take
+    lengths = sorted(
+        (ptr[driver + 1] == ptr[driver], driver, chain.buffers)
+        for driver, chain in chains.items()
+        if chain.buffers
+    )
     return BufferInsertionResult(
-        netlist=work,
+        netlist=result,
         buffers_added=buffers_added,
         padding_buffers=padding,
         depth_before=depth_before,
-        depth_after=depth_after,
-        chain_lengths={d: c.buffers for d, c in chains.items() if c.buffers},
+        depth_after=result.depth(),
+        chain_lengths={driver: length for _, driver, length in lengths},
     )
-
-
-def _copy(netlist: WaveNetlist) -> WaveNetlist:
-    """Cheap structural copy of a wave netlist."""
-    return netlist.clone()
 
 
 def _check_feasible(netlist: WaveNetlist, limit: int) -> None:
     """Reject netlists whose raw fan-out already exceeds *limit*."""
-    for component, count in enumerate(netlist.fanout_counts()):
-        if count > limit:
-            raise FanoutError(
-                f"component {component} has fan-out {count} > limit {limit}; "
-                "run restrict_fanout before insert_buffers"
-            )
+    counts = netlist.fanout_counts()
+    over = np.flatnonzero(counts > limit)
+    if over.size:
+        component = int(over[0])
+        raise FanoutError(
+            f"component {component} has fan-out {counts[component]} > limit "
+            f"{limit}; run restrict_fanout before insert_buffers"
+        )

@@ -28,19 +28,33 @@ Per-driver procedure:
 4. rewire with gap buffers / delays and propagate level increases downstream
    (safe because drivers are processed in topological order: level increases
    only ever flow forward).
+
+Drivers are visited in smallest-index-first topological order
+(:meth:`~repro.core.wavepipe.components.WaveNetlist.visit_order`), which is
+index order for every netlist fresh from a MIG but not, e.g., after buffer
+insertion, whose chain buffers sit at high indices and drive lower-index
+consumers.  The per-driver logic runs over a
+:class:`~repro.core.wavepipe.components.NetlistEdit` and reads levels,
+consumers and fan-out counts from the input netlist's cached arrays.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from ...errors import FanoutError
-from .buffer_insertion import _copy
-from .components import Kind, WaveNetlist
+from .buffer_insertion import _Chain
+from .components import ARITY, Kind, NetlistEdit, WaveNetlist
 
 #: Effective slack of a primary-output reference (reads are padded later).
 _PO_SLACK = 1 << 30
+
+_ARITY = ARITY.tolist()
 
 
 @dataclass
@@ -83,42 +97,121 @@ class _Slot:
         self.carrier = carrier  # literal delivering the value
 
 
+class _Pass:
+    """State shared by the per-driver steps of one :func:`restrict_fanout`.
+
+    ``levels`` grows with every FOG and gap buffer; ``ptr``/``consumers``
+    are the input netlist's CSR consumer map (components appended by the
+    pass have no consumers recorded, and none are ever looked up).
+    ``order`` is the input's visit order and ``rank`` its inverse.
+    """
+
+    __slots__ = (
+        "edit", "levels", "ptr", "consumers", "order", "rank", "limit",
+        "delayed",
+    )
+
+    def __init__(
+        self, netlist: WaveNetlist, order: np.ndarray, limit: int
+    ) -> None:
+        csr = netlist.consumers()
+        self.edit = NetlistEdit(netlist)
+        self.levels: list[int] = netlist.levels().tolist()
+        self.ptr: list[int] = csr.ptr.tolist()
+        self.consumers: list[int] = csr.component.tolist()
+        n = len(order)
+        self.order: Sequence[int] = range(n)
+        self.rank: Sequence[int] = range(n)
+        if np.any(order != self.order):
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            self.order, self.rank = order.tolist(), rank.tolist()
+        self.limit = limit
+        self.delayed: set[int] = set()
+
+    def propagate(self, sources: list[int]) -> None:
+        """Re-level the delayed *sources* and push increases downstream.
+
+        One driver's delays are propagated together, after it is served
+        (its consumers' levels were read before any was rewired).  An
+        increase relaxes the consumers of the raised component, which are
+        popped in visit order: a component's level is final when it is
+        popped, so each is expanded at most once, and the levels reach the
+        fixpoint of recomputing every affected component from its fan-ins.
+        Consumers recorded in the input's map still read their driver
+        until it is served, and a served driver never rises again.
+        """
+        kinds = self.edit.kinds
+        fanins = self.edit.fanins
+        levels = self.levels
+        ptr = self.ptr
+        consumers = self.consumers
+        order = self.order
+        rank = self.rank
+        queued: set[int] = set()
+        for component in sources:  # their fan-ins were rewired deeper
+            best = 0
+            base = 3 * component
+            for lit in fanins[base:base + _ARITY[kinds[component]]]:
+                node = lit >> 1
+                if node and levels[node] > best:
+                    best = levels[node]
+            if best + 1 > levels[component]:
+                levels[component] = best + 1
+                queued.add(rank[component])
+        heap = sorted(queued)
+        while heap:
+            current = order[heapq.heappop(heap)]
+            level = levels[current] + 1
+            for consumer in consumers[ptr[current]:ptr[current + 1]]:
+                if level > levels[consumer]:
+                    levels[consumer] = level
+                    position = rank[consumer]
+                    if position not in queued:
+                        queued.add(position)
+                        heapq.heappush(heap, position)
+
+
 def restrict_fanout(netlist: WaveNetlist, limit: int) -> FanoutRestrictionResult:
     """Limit every component's fan-out to *limit*, returning a new netlist."""
     if limit < 2:
         raise FanoutError(f"fan-out limit must be at least 2, got {limit}")
 
-    work = _copy(netlist)
-    levels = work.levels()
-    depth_before = work.depth(levels)
-    consumers, po_refs = work.consumer_map()
+    order = netlist.visit_order()
+    state = _Pass(netlist, order, limit)
+    depth_before = netlist.depth()
+    csr = netlist.consumers()
+    positions = csr.position.tolist()
+    po_ptr = csr.po_ptr.tolist()
+    po_index = csr.po_index.tolist()
+    ptr = state.ptr
 
     total_fogs = 0
     total_buffers = 0
-    delayed: set[int] = set()
     fog_counts: dict[int, int] = {}
 
-    original_count = netlist.n_components
-    for driver in range(1, original_count):
-        edges = consumers[driver]
-        pos = po_refs[driver]
-        fanout = len(edges) + len(pos)
-        if fanout <= limit:
-            continue
-        fogs, buffers = _serve_driver(
-            work, driver, edges, pos, levels, limit, delayed, consumers
+    over = netlist.fanout_counts() > limit  # the constant counts 0
+    for driver in order[over[order]].tolist():
+        edges = list(
+            zip(
+                state.consumers[ptr[driver]:ptr[driver + 1]],
+                positions[ptr[driver]:ptr[driver + 1]],
+            )
         )
+        pos = po_index[po_ptr[driver]:po_ptr[driver + 1]]
+        fogs, buffers = _serve_driver(state, driver, edges, pos)
         total_fogs += fogs
         total_buffers += buffers
         fog_counts[driver] = fogs
 
-    depth_after = work.depth(levels)
+    levels = state.levels
+    depth_after = max((levels[lit >> 1] for lit in state.edit.outputs), default=0)
     return FanoutRestrictionResult(
-        netlist=work,
+        netlist=state.edit.finish(),
         limit=limit,
         fogs_added=total_fogs,
         buffers_added=total_buffers,
-        delayed_components=len(delayed),
+        delayed_components=len(state.delayed),
         depth_before=depth_before,
         depth_after=depth_after,
         fog_counts=fog_counts,
@@ -126,16 +219,15 @@ def restrict_fanout(netlist: WaveNetlist, limit: int) -> FanoutRestrictionResult
 
 
 def _serve_driver(
-    work: WaveNetlist,
+    state: _Pass,
     driver: int,
     edges: list[tuple[int, int]],
     pos: list[int],
-    levels: list[int],
-    limit: int,
-    delayed: set[int],
-    consumers: list[list[tuple[int, int]]],
 ) -> tuple[int, int]:
     """Restructure one over-driven net.  Returns (fogs, buffers) added."""
+    fanins = state.edit.fanins
+    outputs = state.edit.outputs
+    levels = state.levels
     driver_level = levels[driver]
     jobs: list[tuple[int, int, tuple[int, int] | int]] = []
     for component, position in edges:
@@ -143,9 +235,9 @@ def _serve_driver(
         jobs.append((slack, 0, (component, position)))
     for po_index in pos:
         jobs.append((_PO_SLACK, 1, po_index))
-    budget = min_fogs(len(jobs), limit)
+    budget = min_fogs(len(jobs), state.limit)
 
-    slots, fogs = _plan_tree(work, driver, jobs, budget, limit, levels, consumers)
+    slots, fogs = _plan_tree(state, driver, jobs, budget)
 
     # Assign: deepest slack first, each taking the closest-depth free slot.
     jobs.sort(key=lambda job: -job[0])
@@ -158,39 +250,37 @@ def _serve_driver(
     # shared chain serves them all (the BUF of Fig. 6b, shared like the
     # lastBD chains of Algorithm 1)
     gap_groups: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    before_chains = work.n_components
+    delayed: list[int] = []
     for slack, is_po, payload in jobs:
         depth = _closest_depth(depths, slack)
         slot = by_depth[depth].pop()
         depths.remove(depth)
         tap = slot.carrier
         if is_po:
-            original = int(work.outputs[payload])
-            work.set_output(payload, tap | (original & 1))
+            assert isinstance(payload, int)
+            outputs[payload] = tap | (outputs[payload] & 1)
             continue
+        assert isinstance(payload, tuple)
         component, position = payload
         if slack > depth:
             gap_groups.setdefault(tap, []).append(
                 (slack - depth, (component, position))
             )
             continue
-        original = work.fanins(component)[position]
-        work.set_fanin(component, position, tap | (original & 1))
+        index = 3 * component + position
+        fanins[index] = tap | (fanins[index] & 1)
         if slack < depth:  # the consumer is pushed to a later level
-            delayed.add(component)
-            _propagate_delay(work, component, levels, consumers)
+            delayed.append(component)
 
-    buffers = _build_gap_chains(work, gap_groups, limit, levels)
-    for _ in range(work.n_components - before_chains):
-        consumers.append([])
+    if delayed:
+        state.delayed.update(delayed)
+        state.propagate(delayed)
+    buffers = _build_gap_chains(state, gap_groups)
     return fogs, buffers
 
 
 def _build_gap_chains(
-    work: WaveNetlist,
-    gap_groups: dict[int, list[tuple[int, tuple[int, int]]]],
-    limit: int,
-    levels: list[int],
+    state: _Pass, gap_groups: dict[int, list[tuple[int, tuple[int, int]]]]
 ) -> int:
     """Serve every (carrier -> consumer) gap through shared buffer chains.
 
@@ -198,37 +288,35 @@ def _build_gap_chains(
     may load the carrier with at most ``len(group)`` edges; the shared
     chain machinery of Algorithm 1 handles per-position tap capacity.
     """
-    from .buffer_insertion import _Chain
-
+    edit = state.edit
+    fanins = edit.fanins
+    levels = state.levels
     buffers = 0
     for carrier_lit, group in gap_groups.items():
-        before = work.n_components
-        chain = _Chain(work, carrier_lit >> 1, limit)
+        before = len(edit.kinds)
+        chain = _Chain(edit, carrier_lit >> 1, state.limit)
         # the carrier's unassigned capacity belongs to other slots
-        chain.load[chain.driver_lit] = limit - len(group)
+        chain.load[chain.driver_lit] = state.limit - len(group)
         group.sort(key=lambda job: job[0])
         for gap, (component, position) in group:
-            original = work.fanins(component)[position]
-            tap = chain.tap(gap)
-            work.set_fanin(component, position, tap | (original & 1))
-        for index in range(before, work.n_components):
+            index = 3 * component + position
+            fanins[index] = chain.tap(gap) | (fanins[index] & 1)
+        for index in range(before, len(edit.kinds)):
             # chain buffers reference lower-indexed sources by construction
-            (source,) = work.fanins(index)
-            levels.append(levels[source >> 1] + 1)
+            levels.append(levels[fanins[3 * index] >> 1] + 1)
         buffers += chain.buffers
     return buffers
 
 
 def _plan_tree(
-    work: WaveNetlist,
+    state: _Pass,
     driver: int,
     jobs: list[tuple[int, int, tuple[int, int] | int]],
     budget: int,
-    limit: int,
-    levels: list[int],
-    consumers: list[list[tuple[int, int]]],
 ) -> tuple[list[_Slot], int]:
     """Materialize the FOG ladder; returns its free slots and FOG count."""
+    limit = state.limit
+    levels = state.levels
     driver_level = levels[driver]
     slacks = sorted(min(job[0], budget + 1) for job in jobs)
     slots: list[_Slot] = []
@@ -258,10 +346,9 @@ def _plan_tree(
         next_carriers: list[list[int]] = []
         for _ in range(fogs_now):
             parent = next(c for c in carriers if c[1] > 0)
-            fog = int(work.add_fog(parent[0]))
+            fog = state.edit.add(Kind.FOG, parent[0])
             parent[1] -= 1
             levels.append(driver_level + depth + 1)
-            consumers.append([])
             next_carriers.append([fog, limit])
             planted += 1
         # remaining capacity at this depth becomes consumer slots
@@ -289,26 +376,3 @@ def _closest_depth(depths: list[int], slack: int) -> int:
     below = depths[index - 1]
     above = depths[index]
     return below if (slack - below) <= (above - slack) else above
-
-
-def _propagate_delay(
-    work: WaveNetlist,
-    component: int,
-    levels: list[int],
-    consumers: list[list[tuple[int, int]]],
-) -> None:
-    """Recompute *component*'s level and push increases downstream."""
-    worklist = [component]
-    while worklist:
-        current = worklist.pop()
-        best = 0
-        for lit in work.fanins(current):
-            node = lit >> 1
-            if node and levels[node] > best:
-                best = levels[node]
-        new_level = best + 1
-        if new_level <= levels[current]:
-            continue
-        levels[current] = new_level
-        for consumer, _ in consumers[current]:
-            worklist.append(consumer)

@@ -99,6 +99,7 @@ from ...errors import SimulationError
 from .clocking import ClockingScheme
 from .components import Kind, WaveNetlist
 from .simulator import WaveInterference
+from .verify import is_balanced
 
 if TYPE_CHECKING:  # the plan type lives with the planner
     from .batch import _LanePlan
@@ -315,108 +316,61 @@ def compile_netlist(
 
 
 def _compile(netlist: WaveNetlist, p: int) -> CompiledWaveNetlist:
-    # direct access to the structure-of-arrays internals: compilation is
-    # the one O(n) pass, method-call overhead would dominate it
-    kinds = netlist._kinds
-    fanins = netlist._fanins
+    kinds, fanins, outputs = netlist.arrays()
     levels = netlist.levels()
-    depth = netlist.depth(levels)
-    n = netlist.n_components
-    clocked_kinds = (Kind.MAJ, Kind.BUF, Kind.FOG)
+    n = len(kinds)
 
     # replicate the scalar grouping exactly: latching phase, deepest first
-    # (stable, so ties keep topological index order)
-    by_phase: list[list[int]] = [[] for _ in range(p)]
-    balanced = True
-    for component, kind in enumerate(kinds):
-        if kind not in clocked_kinds:
-            continue
-        by_phase[levels[component] % p].append(component)
-        if kind == Kind.MAJ and balanced:
-            fanin_levels = {
-                levels[lit >> 1] for lit in fanins[component] if lit >> 1
-            }
-            if len(fanin_levels) > 1:
-                balanced = False
-    output_levels = {
-        levels[lit >> 1] for lit in netlist._outputs if lit >> 1
-    }
-    if len(output_levels) > 1:
-        balanced = False
-
-    # permuted state layout: unclocked cells (constant 0, inputs, in
-    # index order) first, then per phase the MAJ block and the BUF/FOG
-    # block — every scatter target becomes a contiguous row slice
-    maj_by_phase: list[list[int]] = []
-    buf_by_phase: list[list[int]] = []
-    for group in by_phase:
-        group.sort(key=lambda component: -levels[component])
-        maj_by_phase.append([c for c in group if kinds[c] == Kind.MAJ])
-        buf_by_phase.append([c for c in group if kinds[c] != Kind.MAJ])
-    order = [i for i in range(n) if kinds[i] not in clocked_kinds]
-    maj_pos = np.empty(p, dtype=np.int64)
-    buf_pos = np.empty(p, dtype=np.int64)
-    for ph in range(p):
-        maj_pos[ph] = len(order)
-        order.extend(maj_by_phase[ph])
-        buf_pos[ph] = len(order)
-        order.extend(buf_by_phase[ph])
+    # (stable, so ties keep topological index order).  Permuted state
+    # layout: unclocked cells (constant 0, inputs, in index order) first,
+    # then per phase the MAJ block and the BUF/FOG block — every scatter
+    # target becomes a contiguous row slice
+    clocked = np.flatnonzero(kinds >= Kind.MAJ)
+    depths = levels[clocked]
+    phases = depths % p
+    wires = kinds[clocked] != Kind.MAJ
+    # block sizes in layout order: phase 0 MAJ, phase 0 BUF, phase 1 MAJ...
+    blocks = np.bincount(phases * 2 + wires, minlength=2 * p)
+    ranked = np.lexsort((-depths, wires, phases))
+    clocked, wires = clocked[ranked], wires[ranked]
+    order = np.concatenate((np.flatnonzero(kinds < Kind.MAJ), clocked))
     new_row = np.empty(n, dtype=np.int64)
-    new_row[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
+    new_row[order] = np.arange(n, dtype=np.int64)
 
-    maj_counts = [len(group) for group in maj_by_phase]
-    buf_counts = [len(group) for group in buf_by_phase]
-    maj_ptr = np.concatenate(
-        ([0], np.cumsum(maj_counts))
-    ).astype(np.int64)
-    buf_ptr = np.concatenate(
-        ([0], np.cumsum(buf_counts))
-    ).astype(np.int64)
-    maj_flat = [c for group in maj_by_phase for c in group]
-    buf_flat = [c for group in buf_by_phase for c in group]
-
-    maj_src = np.empty((3, len(maj_flat)), dtype=np.int64)
-    maj_neg = np.empty((3, len(maj_flat)), dtype=_WORD)
-    for column, component in enumerate(maj_flat):
-        for row, lit in enumerate(fanins[component]):
-            maj_src[row, column] = new_row[lit >> 1]
-            maj_neg[row, column] = _ALL_ONES if lit & 1 else 0
-    buf_src = np.empty(len(buf_flat), dtype=np.int64)
-    buf_neg = np.empty(len(buf_flat), dtype=_WORD)
-    for column, component in enumerate(buf_flat):
-        (lit,) = fanins[component]
-        buf_src[column] = new_row[lit >> 1]
-        buf_neg[column] = _ALL_ONES if lit & 1 else 0
-
+    starts = n - len(clocked) + np.cumsum(blocks) - blocks
+    zero = np.zeros(1, dtype=np.int64)
+    maj_flat = clocked[~wires]
+    buf_flat = clocked[wires]
+    maj_lits = fanins[maj_flat].astype(np.int64).T
+    buf_lits = fanins[buf_flat, 0].astype(np.int64)
     inputs = new_row[np.asarray(netlist.inputs, dtype=np.int64)]
-    inputs_contiguous = bool(
-        inputs.size == 0 or np.all(np.diff(inputs) == 1)
-    )
-    out_lits = netlist._outputs
     return CompiledWaveNetlist(
         n_components=n,
         n_phases=p,
-        depth=depth,
-        balanced=balanced,
+        depth=netlist.depth(),
+        balanced=is_balanced(netlist),
         inputs=inputs,
-        inputs_contiguous=inputs_contiguous,
-        out_node=new_row[
-            np.asarray([lit >> 1 for lit in out_lits], dtype=np.int64)
-        ],
-        out_neg=np.asarray(
-            [_ALL_ONES if lit & 1 else 0 for lit in out_lits], dtype=_WORD
+        inputs_contiguous=bool(
+            inputs.size == 0 or np.all(np.diff(inputs) == 1)
         ),
-        maj_ptr=maj_ptr,
-        maj_pos=maj_pos,
-        maj_comp=np.asarray(maj_flat, dtype=np.int64),
-        maj_src=maj_src,
-        maj_neg=maj_neg,
-        buf_ptr=buf_ptr,
-        buf_pos=buf_pos,
-        buf_comp=np.asarray(buf_flat, dtype=np.int64),
-        buf_src=buf_src,
-        buf_neg=buf_neg,
+        out_node=new_row[outputs >> 1],
+        out_neg=_neg_masks(outputs),
+        maj_ptr=np.concatenate((zero, np.cumsum(blocks[0::2]))),
+        maj_pos=starts[0::2].astype(np.int64),
+        maj_comp=maj_flat.astype(np.int64),
+        maj_src=np.ascontiguousarray(new_row[maj_lits >> 1]),
+        maj_neg=np.ascontiguousarray(_neg_masks(maj_lits)),
+        buf_ptr=np.concatenate((zero, np.cumsum(blocks[1::2]))),
+        buf_pos=starts[1::2].astype(np.int64),
+        buf_comp=buf_flat.astype(np.int64),
+        buf_src=new_row[buf_lits >> 1],
+        buf_neg=_neg_masks(buf_lits),
     )
+
+
+def _neg_masks(lits: np.ndarray) -> np.ndarray:
+    """All-ones uint64 word for every complemented literal, else 0."""
+    return np.where(lits & 1, _ALL_ONES, _WORD(0))
 
 
 def can_elide_tracking(

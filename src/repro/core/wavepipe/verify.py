@@ -10,15 +10,44 @@ These are the formal statements of the paper's two transform objectives:
 * :func:`check_equivalent_to_mig` — both transforms preserve function.
 
 Checkers return a list of human-readable violation strings (empty = OK);
-``assert_*`` variants raise the matching library exception.
+``assert_*`` variants raise the matching library exception.  The balance and
+fan-out checks are one numpy expression each over the netlist's arrays and
+cached levels; violation strings are only built when something fails.
 """
 
 from __future__ import annotations
 
-from ...errors import BalanceError, FanoutError
-from ..equivalence import check_equivalence
+import numpy as np
+
+from ...errors import BalanceError, EquivalenceError, FanoutError
+from ..equivalence import EXHAUSTIVE_LIMIT, random_word_count, random_words
 from ..mig import Mig
-from .components import Kind, WaveNetlist
+from ..simulate import exhaustive_words, simulate_words
+from .components import ARITY, Kind, WaveNetlist
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _skew(netlist: WaveNetlist) -> tuple[np.ndarray, np.ndarray]:
+    """``(components whose wave-carrying fan-ins sit at different levels,
+    levels of the non-constant output drivers)``."""
+    levels = netlist.levels()
+    kinds, fanins, outputs = netlist.arrays()
+    # a component sits one level past its deepest fan-in, so its fan-ins
+    # share one level exactly when each sits one level below it
+    nodes = fanins >> 1
+    skewed = (
+        (np.arange(3) < ARITY[kinds][:, None])
+        & (nodes != 0)
+        & (levels[nodes] != levels[:, None] - 1)
+    ).any(axis=1)
+    return np.flatnonzero(skewed), levels[outputs[outputs >> 1 != 0] >> 1]
+
+
+def is_balanced(netlist: WaveNetlist) -> bool:
+    """True when :func:`check_balanced` finds nothing."""
+    skewed, output_levels = _skew(netlist)
+    return not skewed.size and not np.any(output_levels != output_levels[:1])
 
 
 def check_balanced(netlist: WaveNetlist) -> list[str]:
@@ -29,41 +58,35 @@ def check_balanced(netlist: WaveNetlist) -> list[str]:
     paths between any two connected components having equal length — and
     every primary output driver sits at the same level.
     """
+    skewed, output_levels = _skew(netlist)
     levels = netlist.levels()
     violations: list[str] = []
-    for component in netlist.clocked_components():
+    for component in skewed.tolist():
         fanin_levels = {
-            levels[lit >> 1]
+            int(levels[lit >> 1])
             for lit in netlist.fanins(component)
             if lit >> 1 != 0
         }
-        if len(fanin_levels) > 1:
-            violations.append(
-                f"component {component} ({netlist.kind(component).name}) "
-                f"sees fan-in levels {sorted(fanin_levels)}"
-            )
-    output_levels = {
-        levels[lit >> 1] for lit in netlist.outputs if lit >> 1 != 0
-    }
-    if len(output_levels) > 1:
         violations.append(
-            f"outputs sit at different base distances {sorted(output_levels)}"
+            f"component {component} ({netlist.kind(component).name}) "
+            f"sees fan-in levels {sorted(fanin_levels)}"
+        )
+    if np.any(output_levels != output_levels[:1]):
+        violations.append(
+            "outputs sit at different base distances "
+            f"{sorted(set(output_levels.tolist()))}"
         )
     return violations
 
 
 def check_fanout(netlist: WaveNetlist, limit: int) -> list[str]:
     """Violations of the fan-out bound (constants exempt)."""
-    violations: list[str] = []
-    for component, count in enumerate(netlist.fanout_counts()):
-        if component == 0:
-            continue
-        if count > limit:
-            violations.append(
-                f"component {component} ({netlist.kind(component).name}) "
-                f"drives {count} > {limit} consumers"
-            )
-    return violations
+    counts = netlist.fanout_counts()
+    return [
+        f"component {component} ({netlist.kind(component).name}) "
+        f"drives {counts[component]} > {limit} consumers"
+        for component in np.flatnonzero(counts > limit).tolist()
+    ]
 
 
 def assert_balanced(netlist: WaveNetlist, context: str = "") -> None:
@@ -89,8 +112,89 @@ def assert_fanout(netlist: WaveNetlist, limit: int, context: str = "") -> None:
 
 
 def check_equivalent_to_mig(netlist: WaveNetlist, reference: Mig) -> bool:
-    """True when the netlist still computes the reference MIG's function."""
-    return bool(check_equivalence(netlist.to_mig(), reference))
+    """True when the netlist still computes the reference MIG's function.
+
+    The patterns are those of
+    :func:`~repro.core.equivalence.check_equivalence`: all ``2**n`` input
+    patterns up to :data:`~repro.core.equivalence.EXHAUSTIVE_LIMIT`
+    inputs, else seeded random words, as many as that function draws for
+    the reference.  The reference runs through the golden
+    :func:`~repro.core.simulate.simulate_words`; the netlist runs through
+    :func:`simulate_netlist_words`.
+    """
+    if netlist.n_inputs != reference.n_pis:
+        raise EquivalenceError(
+            f"PI count mismatch: {netlist.n_inputs} vs {reference.n_pis}"
+        )
+    if netlist.n_outputs != reference.n_pos:
+        raise EquivalenceError(
+            f"PO count mismatch: {netlist.n_outputs} vs {reference.n_pos}"
+        )
+    n_inputs = netlist.n_inputs
+    if n_inputs <= EXHAUSTIVE_LIMIT:
+        words = exhaustive_words(n_inputs)
+    else:
+        # a strashed copy of the netlist holds at most its sources and MAJ
+        # rows (exactly the reference's nodes for a flow result)
+        rows = 1 + n_inputs + netlist.count(Kind.MAJ)
+        words = random_words(
+            n_inputs, random_word_count(max(rows, reference.n_nodes))
+        )
+    got = simulate_netlist_words(netlist, words)
+    want = simulate_words(reference, words)
+    if n_inputs < 6:  # one word, whose upper bits repeat the 2**n patterns
+        mask = np.uint64((1 << (1 << n_inputs)) - 1)
+        got, want = got & mask, want & mask
+    return bool(np.array_equal(got, want))
+
+
+def simulate_netlist_words(
+    netlist: WaveNetlist, pi_words: np.ndarray
+) -> np.ndarray:
+    """Functional bit-parallel simulation of a wave netlist.
+
+    BUF and FOG are identities, so every component first collapses to its
+    *root literal* (a constant, input or MAJ, complement included) by
+    pointer doubling along the BUF/FOG chains.  Only the constant, input
+    and MAJ rows are then simulated, one level at a time: a MAJ's roots
+    sit at lower levels than the MAJ itself.  Same layout as
+    :func:`~repro.core.simulate.simulate_words`: returns
+    ``(n_outputs, words)``.
+    """
+    levels = netlist.levels()  # rejects cycles
+    kinds, fanins, outputs = netlist.arrays()
+    n = len(kinds)
+    root = np.arange(n, dtype=np.int64) << 1
+    wires = kinds >= Kind.BUF
+    root[wires] = fanins[wires, 0]
+    while True:
+        hop = root[root >> 1] ^ (root & 1)
+        if np.array_equal(hop, root):
+            break
+        root = hop
+
+    majs = np.flatnonzero(kinds == Kind.MAJ)
+    majs = majs[np.argsort(levels[majs], kind="stable")]
+    row = np.zeros(n, dtype=np.int64)
+    sources = np.asarray(netlist.inputs, dtype=np.int64)
+    row[sources] = np.arange(1, len(sources) + 1)
+    row[majs] = np.arange(len(sources) + 1, len(sources) + 1 + len(majs))
+
+    n_words = pi_words.shape[1]
+    values = np.zeros((1 + len(sources) + len(majs), n_words), dtype=np.uint64)
+    values[1:1 + len(sources)] = pi_words
+    lits = root[fanins[majs] >> 1] ^ (fanins[majs] & 1)
+    src = row[lits >> 1]
+    neg = np.where(lits & 1, _ALL_ONES, np.uint64(0))[:, :, None]
+    bounds = np.flatnonzero(np.diff(levels[majs])) + 1
+    first = 1 + len(sources)
+    for block in np.split(np.arange(len(majs)), bounds):
+        if not block.size:
+            continue
+        a, b, c = (values[src[block, j]] ^ neg[block, j] for j in range(3))
+        values[first + block] = (a & b) | (a & c) | (b & c)
+    out = root[outputs >> 1] ^ (outputs & 1)
+    return values[row[out >> 1]] ^ np.where(out & 1, _ALL_ONES, np.uint64(0))[:, None]
 
 
 def wave_ready(netlist: WaveNetlist, fanout_limit: int | None = None) -> bool:

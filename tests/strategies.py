@@ -17,6 +17,23 @@ from helpers import build_random_mig
 
 
 @st.composite
+def random_migs(
+    draw,
+    min_gates: int = 5,
+    max_gates: int = 40,
+    min_pis: int = 3,
+    max_pis: int = 6,
+):
+    """Seeded random MIG (see ``helpers.build_random_mig``)."""
+    n_gates = draw(st.integers(min_gates, max_gates))
+    seed = draw(st.integers(0, 2**16))
+    return build_random_mig(
+        n_pis=draw(st.integers(min_pis, max_pis)), n_gates=n_gates,
+        seed=seed,
+    )
+
+
+@st.composite
 def netlists(
     draw,
     min_gates: int = 5,
@@ -32,12 +49,7 @@ def netlists(
     Raw netlists come straight off a random MIG and usually interfere;
     wave-ready ones went through the FOx+BUF flow and are balanced.
     """
-    n_gates = draw(st.integers(min_gates, max_gates))
-    seed = draw(st.integers(0, 2**16))
-    mig = build_random_mig(
-        n_pis=draw(st.integers(min_pis, max_pis)), n_gates=n_gates,
-        seed=seed,
-    )
+    mig = draw(random_migs(min_gates, max_gates, min_pis, max_pis))
     ready = draw(st.booleans()) if wave_ready is None else wave_ready
     if ready:
         return wave_pipeline(mig, fanout_limit=3, verify=False).netlist

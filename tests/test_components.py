@@ -1,5 +1,6 @@
 """Unit tests for the WaveNetlist component graph."""
 
+import numpy as np
 import pytest
 
 from repro.core.mig import Mig
@@ -215,3 +216,158 @@ class TestNameLookups:
         netlist.set_fanin(int(m) >> 1, 0, int(a))
         netlist.set_output(0, m)
         assert netlist.version >= before + 3
+
+
+class TestArrayLayout:
+    """The array-native storage: caches, arity, scalar accessors."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda n, a, m: n.set_fanin(m.node, 0, int(n.add_buf(a))),
+            lambda n, a, m: n.set_fanin(m.node, 1, int(a)),
+            lambda n, a, m: n.set_output(0, int(n.add_buf(m))),
+            lambda n, a, m: n.add_output(a),
+            lambda n, a, m: n.add_maj(a, m, 0),
+            lambda n, a, m: n.add_buf(m),
+            lambda n, a, m: n.add_fog(a),
+            lambda n, a, m: n.add_input("d"),
+        ],
+        ids=[
+            "set_fanin_deeper", "set_fanin", "set_output", "add_output",
+            "add_maj", "add_buf", "add_fog", "add_input",
+        ],
+    )
+    def test_every_mutation_invalidates_caches(self, small, mutate):
+        from repro.core.wavepipe import compile_netlist
+
+        netlist, (a, _, _), m = small
+        levels = netlist.levels()
+        consumers = netlist.consumers()
+        compiled = compile_netlist(netlist)
+        assert netlist.levels() is levels
+        assert compile_netlist(netlist) is compiled
+        version = netlist.version
+        mutate(netlist, a, m)
+        assert netlist.version > version
+        assert netlist.levels() is not levels
+        assert netlist.consumers() is not consumers
+        assert len(netlist.levels()) == netlist.n_components
+        recompiled = compile_netlist(netlist)
+        assert recompiled is not compiled
+        assert recompiled.n_components == netlist.n_components
+
+    def test_levels_follow_a_deeper_fanin(self, small):
+        netlist, (a, _, _), m = small
+        assert netlist.depth() == 1
+        netlist.set_fanin(m.node, 0, int(netlist.add_buf(a)))
+        assert netlist.levels()[m.node] == 2
+        assert netlist.depth() == 2
+
+    def test_cached_arrays_are_read_only(self, small):
+        netlist, _, m = small
+        levels = netlist.levels()
+        with pytest.raises(ValueError):
+            levels[m.node] = 7
+        for array in (*netlist.arrays(), *netlist.consumers()):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert netlist.levels()[m.node] == 1
+
+    def test_cycle_raises_netlist_error_everywhere(self, small):
+        from repro.core.wavepipe import check_balanced, compile_netlist
+
+        netlist, _, m = small
+        buf = netlist.add_buf(m)
+        netlist.set_fanin(m.node, 0, int(buf))
+        for probe in (
+            netlist.levels, netlist.depth, netlist.topological_order,
+            netlist.visit_order, lambda: check_balanced(netlist),
+            lambda: compile_netlist(netlist),
+        ):
+            with pytest.raises(NetlistError):
+                probe()
+
+    def test_constant_maj_fanin_keeps_arity_three(self):
+        netlist = WaveNetlist()
+        a = netlist.add_input()
+        b = netlist.add_input()
+        m = netlist.add_maj(a, 0, b)
+        netlist.add_output(m)
+        assert netlist.fanins(m.node) == (0, int(a), int(b))
+        kinds, fanins, _ = netlist.arrays()
+        assert fanins[m.node].tolist() == [0, int(a), int(b)]
+        consumers = netlist.consumers()
+        constant_edges = consumers.component[consumers.ptr[0]:consumers.ptr[1]]
+        assert constant_edges.tolist() == [m.node]
+        assert netlist.fanout_counts()[0] == 0
+        assert netlist.levels()[m.node] == 1
+        # a rewired constant fan-in stays a fan-in, not padding
+        netlist.set_fanin(m.node, 2, 0)
+        assert netlist.fanins(m.node) == (0, int(a), 0)
+
+    def test_fanin_position_must_exist(self, small):
+        netlist, (a, _, _), m = small
+        buf = netlist.add_buf(a)
+        with pytest.raises(NetlistError):
+            netlist.set_fanin(buf.node, 1, int(a))
+        with pytest.raises(NetlistError):
+            netlist.set_fanin(a.node, 0, int(buf))
+        with pytest.raises(NetlistError):
+            netlist.set_output(3, int(m))
+
+    def test_scalar_accessors_return_python_ints(self, small):
+        netlist, (a, _, _), m = small
+        netlist.add_output(~netlist.add_fog(a))
+        for component in netlist.components():
+            fanins = netlist.fanins(component)
+            assert isinstance(fanins, tuple)
+            assert all(type(lit) is int for lit in fanins)
+            assert type(netlist.kind(component)) is Kind
+        assert all(type(int(sig)) is int for sig in netlist.outputs)
+        assert netlist.outputs[1].complemented
+        assert type(netlist.depth()) is int
+        assert all(type(c) is int for c in netlist.topological_order())
+        assert type(netlist.size) is int and type(netlist.count(Kind.FOG)) is int
+
+    def test_appends_grow_past_capacity(self):
+        netlist = WaveNetlist()
+        signals = [netlist.add_input() for _ in range(3)]
+        for _ in range(200):
+            signals.append(netlist.add_maj(*signals[-3:]))
+        netlist.add_output(signals[-1])
+        assert netlist.n_components == 204
+        assert netlist.depth() == 200
+        assert netlist.fanins(203) == tuple(sorted(int(s) for s in signals[-4:-1]))
+
+    def test_interface_mismatch_raises(self, adder_mig):
+        from repro.core.wavepipe import check_equivalent_to_mig
+        from repro.errors import EquivalenceError
+
+        netlist = WaveNetlist.from_mig(adder_mig)
+        wider = adder_mig.clone()
+        wider.add_pi("extra")
+        with pytest.raises(EquivalenceError, match="PI count mismatch"):
+            check_equivalent_to_mig(netlist, wider)
+        more = adder_mig.clone()
+        more.add_po(more.pos[0])
+        with pytest.raises(EquivalenceError, match="PO count mismatch"):
+            check_equivalent_to_mig(netlist, more)
+
+    def test_pickle_ships_rows_not_caches(self, small):
+        import pickle
+
+        netlist, (a, _, _), m = small
+        size = len(pickle.dumps(netlist))
+        netlist.levels()
+        netlist.consumers()
+        assert len(pickle.dumps(netlist)) == size
+        copy = pickle.loads(pickle.dumps(netlist))
+        for mine, theirs in zip(netlist.arrays(), copy.arrays()):
+            assert np.array_equal(mine, theirs)
+        assert copy.version == netlist.version
+        assert copy.input_names == netlist.input_names
+        assert copy.output_names == netlist.output_names
+        assert copy.levels().tolist() == netlist.levels().tolist()
+        copy.add_output(copy.add_buf(m))
+        assert copy.depth() == 2 and netlist.depth() == 1

@@ -68,6 +68,10 @@ def _expected(serial: int):
 class TestStress:
     def test_8x200_against_two_shards(self):
         compile_misses_before = compile_cache_stats()["misses"]
+        # build the two netlists before the submitters start: lru_cache
+        # runs a first call once per thread that races into it, and two
+        # copies of one netlist would be two plan-cache misses
+        _netlists()
         total = N_THREADS * REQUESTS_PER_THREAD
         results: dict[int, object] = {}
         results_lock = threading.Lock()
