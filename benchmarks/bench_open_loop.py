@@ -23,15 +23,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_open_loop.py --quick  # CI smoke
 """
 
-import argparse
-import json
-import platform
 import sys
 
-import numpy
-
-from repro.core.wavepipe import ClockingScheme, jit_available, wave_pipeline
-from repro.core.wavepipe.kernels import default_backend
+from repro.core.wavepipe import ClockingScheme, wave_pipeline
 from repro.serve import (
     OpenLoopScenario,
     SimulationClient,
@@ -40,6 +34,8 @@ from repro.serve import (
     run_open_loop,
 )
 from repro.suite.table import build_benchmark
+
+from _common import bench_parser, emit, metadata, parse_args
 
 #: (benchmarks, rate rps, requests, arrival, size_mix, shards, socket).
 #: The heavy-tail mix is the interesting one: most requests are small,
@@ -118,44 +114,18 @@ def bench_case(
     }
 
 
-def _metadata(mode: str) -> dict:
-    """Provenance of one bench run (for cross-run comparability)."""
-    return {
-        "mode": mode,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
-    }
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small smoke configuration for CI",
-    )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="also write the JSON document to this file",
-    )
-    args = parser.parse_args(argv)
+    args = parse_args(bench_parser(__doc__.splitlines()[0]), argv)
 
     cases = QUICK_CASES if args.quick else FULL_CASES
     rows = [bench_case(*case) for case in cases]
     document = {
         "bench": "serve_open_loop",
         "mode": "quick" if args.quick else "full",
-        "meta": _metadata("quick" if args.quick else "full"),
+        "meta": metadata("quick" if args.quick else "full"),
         "cases": rows,
     }
-    text = json.dumps(document, indent=2)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+    emit(document, args.output)
 
     if not all(row["ledger"]["balanced"] for row in rows):
         print("FATAL: an open-loop ledger did not balance",

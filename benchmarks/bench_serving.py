@@ -31,9 +31,6 @@ Usage::
         --max-regression 0.30                                    # CI gate
 """
 
-import argparse
-import json
-import platform
 import sys
 import time
 
@@ -41,15 +38,15 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
-    jit_available,
     random_vectors,
     simulate_waves,
     simulate_waves_packed,
     wave_pipeline,
 )
-from repro.core.wavepipe.kernels import default_backend
 from repro.serve import SimulationServer, run_closed_loop
 from repro.suite.table import build_benchmark
+
+from _common import bench_parser, check_baseline, emit, metadata, parse_args
 
 #: (benchmarks, requests, waves/request, concurrency, shards,
 #:  process_shards, oracle_check).  process_shards 0 = thread shards;
@@ -104,8 +101,8 @@ def bench_case(
     total_waves = n_requests * n_waves
 
     # warm-up must run the kernel (empty streams short-circuit before
-    # it): compile, scratch setup, and JIT compilation stay out of
-    # both measured windows — one real stream per netlist
+    # it): compile and scratch setup stay out of both measured windows
+    # — one real stream per netlist
     warm_streams = [
         numpy.asarray(
             random_vectors(netlist.n_inputs, n_waves, seed=seed),
@@ -184,19 +181,6 @@ def bench_case(
     }
 
 
-def _metadata(mode: str) -> dict:
-    """Provenance of one bench run (for cross-run comparability)."""
-    return {
-        "mode": mode,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
-    }
-
-
 def _case_key(row: dict) -> tuple:
     return (
         row["benchmark"],
@@ -228,57 +212,11 @@ def annotate_process_rows(rows: list[dict]) -> None:
             )
 
 
-def diff_against_baseline(document: dict, baseline: dict) -> list[str]:
-    """Per-case speedup deltas vs an older run of this bench."""
-    old_cases = {_case_key(row): row for row in baseline.get("cases", [])}
-    lines = [
-        "baseline diff (old: "
-        f"{baseline.get('meta', {}).get('platform', 'unknown platform')})",
-        f"{'case':<24} {'old x':>9} {'new x':>9} {'delta':>8}",
-    ]
-    for row in document["cases"]:
-        key = _case_key(row)
-        label = f"{key[0]}/{key[1]}x{key[2]}"
-        if key[3]:
-            label += f"/mp{key[3]}"
-        old = old_cases.get(key)
-        new_speedup = row["throughput_speedup"]
-        if old is None:
-            lines.append(f"{label:<24} {'-':>9} {new_speedup:>9} {'new':>8}")
-            continue
-        old_speedup = old["throughput_speedup"]
-        ratio = new_speedup / old_speedup if old_speedup else 0.0
-        lines.append(
-            f"{label:<24} {old_speedup:>9} {new_speedup:>9} "
-            f"{(ratio - 1) * 100:>+7.1f}%"
-        )
-    return lines
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small smoke configuration for CI",
+    args = parse_args(
+        bench_parser(__doc__.splitlines()[0], ratio="throughput_speedup"),
+        argv,
     )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="also write the JSON document to this file",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="older JSON document of this bench: print per-case "
-        "throughput-speedup deltas against it",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRAC",
-        help="with --baseline: fail (exit 1) when the headline serving "
-        "speedup drops below (1 - FRAC) of the baseline's (the CI gate)",
-    )
-    args = parser.parse_args(argv)
-    if args.max_regression is not None and not args.baseline:
-        print("--max-regression requires --baseline", file=sys.stderr)
-        return 2
 
     cases = QUICK_CASES if args.quick else FULL_CASES
     rows = [bench_case(*case) for case in cases]
@@ -290,7 +228,7 @@ def main(argv=None) -> int:
     document = {
         "bench": "serving_layer",
         "mode": "quick" if args.quick else "full",
-        "meta": _metadata("quick" if args.quick else "full"),
+        "meta": metadata("quick" if args.quick else "full"),
         "cases": rows,
         "headline": {
             "benchmark": headline["benchmark"],
@@ -301,39 +239,13 @@ def main(argv=None) -> int:
             "identical_reports": headline["identical_reports"],
         },
     }
-    text = json.dumps(document, indent=2)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+    emit(document, args.output)
 
     if not all(row["identical_reports"] for row in rows):
         print("FATAL: served reports diverged from solo runs",
               file=sys.stderr)
         return 1
-
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        for line in diff_against_baseline(document, baseline):
-            print(line, file=sys.stderr)
-        if args.max_regression is not None:
-            old = baseline.get("headline", {}).get("throughput_speedup")
-            new = document["headline"]["throughput_speedup"]
-            floor = (old or 0.0) * (1.0 - args.max_regression)
-            if old and new < floor:
-                print(
-                    f"FATAL: serving speedup regressed: {new}x < "
-                    f"{floor:.1f}x ({old}x baseline - "
-                    f"{args.max_regression:.0%} tolerance)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"bench gate ok: headline {new}x vs floor {floor:.1f}x",
-                file=sys.stderr,
-            )
-    return 0
+    return check_baseline(args, document, _case_key, "throughput_speedup")
 
 
 if __name__ == "__main__":

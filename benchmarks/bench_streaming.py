@@ -29,9 +29,6 @@ Usage::
         --max-regression 0.30                                     # gate
 """
 
-import argparse
-import json
-import platform
 import sys
 import time
 
@@ -39,15 +36,15 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
-    jit_available,
     random_vectors,
     simulate_waves_packed,
     wave_pipeline,
 )
 from repro.core.wavepipe.batch import open_packed_session
-from repro.core.wavepipe.kernels import default_backend
 from repro.serve import SimulationServer, run_streaming
 from repro.suite.table import build_benchmark
+
+from _common import bench_parser, check_baseline, emit, metadata, parse_args
 
 #: The acceptance floor: a chunked session must sustain at least this
 #: fraction of the solo concatenated run's throughput.
@@ -223,19 +220,6 @@ def bench_serving_case(
     }
 
 
-def _metadata(mode: str) -> dict:
-    """Provenance of one bench run (for cross-run comparability)."""
-    return {
-        "mode": mode,
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
-    }
-
-
 def _case_key(row: dict) -> tuple:
     return (
         row["tier"],
@@ -246,55 +230,10 @@ def _case_key(row: dict) -> tuple:
     )
 
 
-def diff_against_baseline(document: dict, baseline: dict) -> list[str]:
-    """Per-case resume-ratio deltas vs an older run of this bench."""
-    old_cases = {_case_key(row): row for row in baseline.get("cases", [])}
-    lines = [
-        "baseline diff (old: "
-        f"{baseline.get('meta', {}).get('platform', 'unknown platform')})",
-        f"{'case':<28} {'old':>8} {'new':>8} {'delta':>8}",
-    ]
-    for row in document["cases"]:
-        key = _case_key(row)
-        label = f"{key[0]}:{key[1]}/{key[2]}x{key[3]}x{key[4]}"
-        old = old_cases.get(key)
-        new_ratio = row["resume_ratio"]
-        if old is None:
-            lines.append(f"{label:<28} {'-':>8} {new_ratio:>8} {'new':>8}")
-            continue
-        old_ratio = old["resume_ratio"]
-        ratio = new_ratio / old_ratio if old_ratio else 0.0
-        lines.append(
-            f"{label:<28} {old_ratio:>8} {new_ratio:>8} "
-            f"{(ratio - 1) * 100:>+7.1f}%"
-        )
-    return lines
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small smoke configuration for CI",
+    args = parse_args(
+        bench_parser(__doc__.splitlines()[0], ratio="resume_ratio"), argv
     )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="also write the JSON document to this file",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="older JSON document of this bench: print per-case "
-        "resume-ratio deltas against it",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=None, metavar="FRAC",
-        help="with --baseline: fail (exit 1) when the headline resume "
-        "ratio drops below (1 - FRAC) of the baseline's (the CI gate)",
-    )
-    args = parser.parse_args(argv)
-    if args.max_regression is not None and not args.baseline:
-        print("--max-regression requires --baseline", file=sys.stderr)
-        return 2
 
     engine_cases = ENGINE_QUICK if args.quick else ENGINE_FULL
     serve_cases = SERVE_QUICK if args.quick else SERVE_FULL
@@ -306,7 +245,7 @@ def main(argv=None) -> int:
         "bench": "streaming_sessions",
         "mode": "quick" if args.quick else "full",
         "min_resume_ratio": MIN_RESUME_RATIO,
-        "meta": _metadata("quick" if args.quick else "full"),
+        "meta": metadata("quick" if args.quick else "full"),
         "cases": rows,
         "headline": {
             "benchmark": headline["benchmark"],
@@ -317,11 +256,7 @@ def main(argv=None) -> int:
             "identical_reports": headline["identical_reports"],
         },
     }
-    text = json.dumps(document, indent=2)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+    emit(document, args.output)
 
     if not all(row["identical_reports"] for row in rows):
         print("FATAL: streamed reports diverged from solo runs",
@@ -336,28 +271,7 @@ def main(argv=None) -> int:
         )
         return 1
 
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        for line in diff_against_baseline(document, baseline):
-            print(line, file=sys.stderr)
-        if args.max_regression is not None:
-            old = baseline.get("headline", {}).get("resume_ratio")
-            new = document["headline"]["resume_ratio"]
-            floor = (old or 0.0) * (1.0 - args.max_regression)
-            if old and new < floor:
-                print(
-                    f"FATAL: resume ratio regressed: {new} < "
-                    f"{floor:.2f} ({old} baseline - "
-                    f"{args.max_regression:.0%} tolerance)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"bench gate ok: headline {new} vs floor {floor:.2f}",
-                file=sys.stderr,
-            )
-    return 0
+    return check_baseline(args, document, _case_key, "resume_ratio")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,11 @@ Simulates a 4x4 array multiplier under the three-phase regeneration clock:
   magnitude faster — the stream is spread across bit-lanes packed into a
   ``(components, words)`` uint64 matrix, and the planner adds state words
   as the stream grows (64 lanes per word, unbounded words);
-* the packed engine's step loop runs as a compiled kernel
-  (``repro.core.wavepipe.kernels``): fused zero-allocation numpy by
-  default, a numba-JIT loop nest when numba is installed (the
-  ``repro[jit]`` extra; ``REPRO_JIT=0`` opts out) — and on *balanced*
-  netlists the per-lane wave-id tracking is elided entirely, because the
-  clocking discipline makes interference provably impossible.  Every
-  variant returns the same report, bit for bit;
+* the packed engine's step loop (``repro.core.wavepipe.kernels``) is
+  zero-allocation in-place numpy, and on *balanced* netlists the
+  per-lane wave-id tracking is elided entirely, because the clocking
+  discipline makes interference provably impossible.  The tracked and
+  elided kernels return the same report, bit for bit;
 * ``simulate_streams`` batches many independent wave streams (think: one
   request per stream) through the netlist in a single packed pass.
 """
@@ -115,16 +113,16 @@ def main() -> None:
         f"scalar ({scalar_elapsed / packed_elapsed:.0f}x)"
     )
 
-    # the kernel matrix: the balanced netlist lets the engine drop the
-    # wave-id tracking entirely (interference is provably impossible);
-    # forcing the tracked kernels changes nothing but the speed
+    # the two kernel variants: the balanced netlist lets the engine
+    # drop the wave-id tracking entirely (interference is provably
+    # impossible); forcing the tracked kernels changes nothing but the
+    # speed
     info = describe_packed_run(ready, len(stream))
     tracked = simulate_waves_packed(ready, stream, track=True)
     assert tracked == packed
     print(
-        f"kernels: backend={info['backend']} "
-        f"(jit {'compiled' if info['jit_compiled'] else 'unavailable'}), "
-        f"tracking {'elided' if info['elided_tracking'] else 'tracked'}, "
+        f"kernels: tracking "
+        f"{'elided' if info['elided_tracking'] else 'tracked'}, "
         f"plan {info['lanes']} lanes x {info['words']} words; forced "
         "tracked kernels agree bit-for-bit"
     )

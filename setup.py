@@ -2,10 +2,9 @@
 
 Kept as a plain ``setup.py`` (no ``pyproject.toml``) so ``pip install
 -e .`` works without the ``wheel``/``build`` packages in minimal
-containers.  The ``jit`` extra pulls in numba for the compiled step-loop
-kernels of the packed wave-simulation engine
-(:mod:`repro.core.wavepipe.kernels`); without it the engine falls back
-to the pure-numpy fused kernels with identical results.
+containers.  The packed wave-simulation engine's step loop
+(:mod:`repro.core.wavepipe.kernels`) is plain numpy, so numpy and
+networkx are the only runtime requirements.
 """
 
 from setuptools import find_packages, setup
@@ -24,11 +23,6 @@ setup(
         "numpy",
         "networkx",
     ],
-    extras_require={
-        # optional numba-JIT backend for the packed engine's step loop;
-        # auto-detected at import time, REPRO_JIT=0 / --no-jit opt out
-        "jit": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],
     },

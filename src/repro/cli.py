@@ -12,11 +12,11 @@ Subcommands
 ``simulate``
     Phase-accurate wave simulation of a (transformed) benchmark under the
     regeneration clock — ``--engine packed`` uses the bit-packed batched
-    engine (numba-JIT step kernels when numba is installed, fused numpy
-    otherwise; ``--no-jit`` forces the latter), ``--engine both``
-    cross-checks the engines and reports the speedup, ``--streams N``
-    batches N independent wave streams through the netlist in one packed
-    pass (the serving scenario).
+    engine (in-place numpy step kernels, with wave-id tracking elided on
+    balanced netlists), ``--engine both`` cross-checks the engines and
+    reports the speedup, ``--streams N`` batches N independent wave
+    streams through the netlist in one packed pass (the serving
+    scenario).
 ``serve``
     Network serving tier: bind the micro-batching simulation server to
     a TCP socket (``--listen HOST:PORT``) speaking the length-prefixed
@@ -113,25 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="phase-accurate wave simulation of a benchmark",
         description="Phase-accurate wave simulation under the "
-        "regeneration clock.  The packed engine picks its step-loop "
-        "kernel automatically: the numba-JIT loop nest when numba is "
-        "installed (the repro[jit] extra), else fused pure-numpy "
-        "kernels; on balanced netlists the per-lane wave-id tracking is "
-        "elided entirely (interference is provably impossible), on "
-        "unbalanced ones the tracked kernels reproduce the scalar "
-        "oracle's interference events bit for bit.",
+        "regeneration clock.  The packed engine's in-place numpy step "
+        "kernels pick their variant automatically: on balanced netlists "
+        "the per-lane wave-id tracking is elided entirely (interference "
+        "is provably impossible), on unbalanced ones the tracked kernels "
+        "reproduce the scalar oracle's interference events bit for bit.",
     )
     simulate.add_argument("source", help="same source syntax as 'flow'")
     simulate.add_argument(
         "--engine", choices=("python", "packed", "both"), default="packed",
         help="simulation engine (default: packed); 'both' cross-checks "
         "the packed engine against the scalar oracle",
-    )
-    simulate.add_argument(
-        "--no-jit", action="store_true",
-        help="never use the numba-JIT step kernels: force the fused "
-        "pure-numpy backend (same reports, bit for bit); equivalent to "
-        "REPRO_JIT=0",
     )
     simulate.add_argument(
         "--waves", type=int, default=256,
@@ -244,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=3,
         help="closed-loop trials; the best sustained rate is reported "
         "(default: 3 — scheduling jitter on loaded hosts is real)",
-    )
-    serve.add_argument(
-        "--no-jit", action="store_true",
-        help="force the fused pure-numpy kernels (same reports)",
     )
     serve.add_argument(
         "--faults", type=str, default=None, metavar="SPEC",
@@ -379,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=None, metavar="S",
         help="serve for S seconds then drain and exit (default: serve "
         "until SIGTERM/SIGINT)",
-    )
-    servecmd.add_argument(
-        "--no-jit", action="store_true",
-        help="force the fused pure-numpy kernels (same reports)",
     )
 
     commands.add_parser("suite", help="list the benchmark suite")
@@ -569,13 +553,10 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
         ClockingScheme,
         describe_packed_run,
         random_vectors,
-        set_default_backend,
         simulate_streams,
         simulate_waves,
     )
 
-    if args.no_jit:
-        set_default_backend("fused")
     mig = _load_source(args.source)
     if args.raw:
         netlist = WaveNetlist.from_mig(mig)
@@ -595,10 +576,9 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
             pipelined=not args.no_pipeline,
             n_streams=max(1, args.streams),
         )
+        tracking = "elided" if info["elided_tracking"] else "tracked"
         print(
-            f"kernel    : backend={info['backend']}"
-            f"{' (jit)' if info['jit_compiled'] else ''}, "
-            f"tracking={'elided' if info['elided_tracking'] else 'tracked'}, "
+            f"kernel    : tracking={tracking}, "
             f"plan={info['lanes']} lanes / {info['words']} words / "
             f"{info['steps']} steps",
             file=out,
@@ -688,7 +668,6 @@ def _run_serve_bench(args: argparse.Namespace, out) -> int:
     from .core.wavepipe import (
         ClockingScheme,
         random_vectors,
-        set_default_backend,
         simulate_waves,
         simulate_waves_packed,
     )
@@ -699,8 +678,6 @@ def _run_serve_bench(args: argparse.Namespace, out) -> int:
         run_closed_loop,
     )
 
-    if args.no_jit:
-        set_default_backend("fused")
     if args.requests < 1:
         raise ReproError("serve-bench needs at least one request")
     import numpy as np
@@ -742,9 +719,8 @@ def _run_serve_bench(args: argparse.Namespace, out) -> int:
 
     # baseline: the same requests, one packed pass each, back to back.
     # The warm-up must *run the kernel* (an empty stream would
-    # short-circuit before it), so compile, scratch setup, and any
-    # numba JIT compilation are excluded from every measured window
-    # alike — one real stream per netlist
+    # short-circuit before it), so compile and scratch setup stay out
+    # of every measured window alike — one real stream per netlist
     warm_streams = [
         np.asarray(
             random_vectors(
@@ -950,7 +926,6 @@ def _run_streaming_bench(args: argparse.Namespace, out) -> int:
     from .core.wavepipe import (
         ClockingScheme,
         random_vectors,
-        set_default_backend,
         simulate_waves_packed,
     )
     from .serve import (
@@ -963,8 +938,6 @@ def _run_streaming_bench(args: argparse.Namespace, out) -> int:
 
     if args.json_out is not None:
         raise ReproError("--json-out applies to --open-loop mode only")
-    if args.no_jit:
-        set_default_backend("fused")
     if "," in args.source:
         raise ReproError(
             "--stream drives one netlist per run (sessions are sticky "
@@ -1160,7 +1133,7 @@ def _run_open_loop_bench(args: argparse.Namespace, out) -> int:
     """``serve-bench --open-loop``: seeded offered-rate SLO benchmark."""
     import json
 
-    from .core.wavepipe import ClockingScheme, set_default_backend
+    from .core.wavepipe import ClockingScheme
     from .serve import (
         OpenLoopScenario,
         SimulationClient,
@@ -1169,8 +1142,6 @@ def _run_open_loop_bench(args: argparse.Namespace, out) -> int:
         run_open_loop,
     )
 
-    if args.no_jit:
-        set_default_backend("fused")
     if args.faults is not None or args.oracle:
         # keep the surface honest instead of silently ignoring knobs
         raise ReproError(
@@ -1304,11 +1275,9 @@ def _run_open_loop_bench(args: argparse.Namespace, out) -> int:
 
 def _run_serve(args: argparse.Namespace, out) -> int:
     """``repro serve``: the network serving tier."""
-    from .core.wavepipe import ClockingScheme, set_default_backend
+    from .core.wavepipe import ClockingScheme
     from .serve import SimulationServer, SocketServer
 
-    if args.no_jit:
-        set_default_backend("fused")
     host, _, port_text = args.listen.rpartition(":")
     try:
         port = int(port_text)

@@ -12,16 +12,13 @@ from .batch import (
     simulate_waves_packed,
 )
 from .kernels import (
-    BACKENDS,
     CompiledWaveNetlist,
     SessionSnapshot,
     SessionState,
     can_elide_tracking,
     compile_cache_stats,
     compile_netlist,
-    jit_available,
     reset_compile_cache_stats,
-    set_default_backend,
 )
 from .buffer_insertion import BufferInsertionResult, insert_buffers
 from .clocking import PAPER_PHASES, ClockingScheme
@@ -47,7 +44,6 @@ from .verify import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BufferInsertionResult",
     "ClockingScheme",
     "CompiledWaveNetlist",
@@ -78,14 +74,12 @@ __all__ = [
     "describe_packed_run",
     "golden_outputs",
     "insert_buffers",
-    "jit_available",
     "min_fogs",
     "open_packed_session",
     "plan_stream_batch",
     "random_vectors",
     "reset_compile_cache_stats",
     "restrict_fanout",
-    "set_default_backend",
     "simulate_streams",
     "simulate_streams_packed",
     "simulate_waves",

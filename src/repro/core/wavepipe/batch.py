@@ -8,14 +8,12 @@ produces reports that are bit-identical to the scalar reference loop in
 :class:`~repro.core.wavepipe.simulator.WaveInterference` events in the same
 order — while advancing the whole netlist with compiled word operations.
 
-Since the kernelized-step-loop refactor this module owns only the
-*planning* half of the engine: lane planning, injection packing, and
-report merging.  The per-clock-step hot loop lives in
-:mod:`repro.core.wavepipe.kernels`, which provides four interchangeable
-variants — pure-numpy fused kernels and an optional numba-JIT loop nest,
-each with or without wave-id tracking (tracking is *elided* whenever the
-netlist's balance proves interference impossible; see the kernels module
-docstring for the backend matrix and the elision proof).
+This module owns only the *planning* half of the engine: lane planning,
+injection packing, and report merging.  The per-clock-step hot loop
+lives in :mod:`repro.core.wavepipe.kernels`: in-place numpy kernels in
+two variants, with or without wave-id tracking (tracking is *elided*
+whenever the netlist's balance proves interference impossible; see the
+kernels module docstring for the elision proof).
 
 Architecture
 ------------
@@ -29,9 +27,9 @@ array operation advances every component of the active clock phase.  The
 lane count is unbounded: the planner fills as many words as the stream
 needs, so 10^4–10^5-wave streams run in one pass.  The planner balances
 the kernel's fixed per-step cost against ``components x lanes`` array
-traffic using a **per-backend calibration constant**
-(:data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD` — elided and
-JIT kernels move far less data per lane, so their plans go wider), caps
+traffic using a **per-variant calibration constant**
+(:data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD` — the elided
+kernels move far less data per lane, so their plans go wider), caps
 itself at :data:`MAX_PLANNED_WORDS` words, and is bypassed entirely by an
 explicit ``lanes=`` override (used by the property tests to pin
 word-boundary behaviour and by the benchmarks).
@@ -83,13 +81,13 @@ even in principle.  On balanced netlists the same argument that elides
 tracking makes every wave's output a function of its own inputs alone,
 which is what lets ``tests/test_streaming.py`` assert that any split of
 a wave schedule into feeds matches the solo run of the concatenation,
-bit for bit, across the whole kernel matrix.
+bit for bit, with tracking elided or forced.
 
 The scalar engine remains the oracle; ``tests/test_batch_engine.py`` and
 ``tests/test_kernels.py`` property-test this module against it on
 balanced and deliberately unbalanced netlists across phase counts,
 injection modes, lane overrides straddling word boundaries, multi-stream
-batches, and every kernel backend.
+batches, and both tracking variants.
 """
 
 from __future__ import annotations
@@ -104,14 +102,11 @@ from ...errors import SessionClosed, SimulationError
 from .clocking import ClockingScheme
 from .components import WaveNetlist
 from .kernels import (
-    CompiledWaveNetlist,
     SessionState,
     _retire_slot_count,
     can_elide_tracking,
     compile_netlist,
-    jit_available,
     planner_step_overhead,
-    resolve_backend,
     resolve_tracking,
     run_plan,
 )
@@ -197,10 +192,10 @@ def _default_lane_count(
     ``lanes* = sqrt(n_waves * separation * overhead / (fill * n))``,
     floored to whole words so a marginal win never pays for a wider
     state matrix, and capped at :data:`MAX_PLANNED_WORDS` words.
-    *step_overhead* is the per-backend calibration constant from
-    :func:`~repro.core.wavepipe.kernels.planner_step_overhead`: kernels
-    with cheaper per-lane traffic (elided tracking, JIT loop nests) carry
-    a larger constant and therefore plan wider.
+    *step_overhead* is the per-variant calibration constant from
+    :func:`~repro.core.wavepipe.kernels.planner_step_overhead`: the
+    elided kernels, with cheaper per-lane traffic, carry a larger
+    constant and therefore plan wider.
     """
     if n_waves <= LANES_PER_WORD:
         return n_waves
@@ -254,7 +249,7 @@ def _plan_lanes(
     *lanes* (single-stream only) overrides the heuristic lane count —
     clamped to ``[1, n_waves]`` — so tests and benchmarks can pin word
     boundaries regardless of the planner's defaults.  *step_overhead* is
-    the per-backend cost-model constant (see :func:`_default_lane_count`);
+    the per-variant cost-model constant (see :func:`_default_lane_count`);
     it is required so the calibration has exactly one source of truth,
     :data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD`.
     """
@@ -446,23 +441,21 @@ def describe_packed_run(
     clocking: Optional[ClockingScheme] = None,
     pipelined: bool = True,
     lanes: Optional[int] = None,
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
     n_streams: int = 1,
 ) -> dict:
     """Resolve the kernel/plan one packed run would use, without running.
 
-    Returns a JSON-friendly dict — backend, JIT availability, tracking
-    elision, and the chosen lane plan — used by the benchmark metadata,
-    the CLI's kernel line, and the planner tests.  *n_streams* > 1
-    describes a :func:`simulate_streams_packed` batch of equal-length
-    streams (``lanes`` overrides apply to single-stream runs only).
+    Returns a JSON-friendly dict — tracking elision, netlist balance, and
+    the chosen lane plan — used by the benchmark metadata, the CLI's
+    kernel line, and the planner tests.  *n_streams* > 1 describes a
+    :func:`simulate_streams_packed` batch of equal-length streams
+    (``lanes`` overrides apply to single-stream runs only).
     """
     clocking = clocking or ClockingScheme()
     compiled = compile_netlist(netlist, clocking)
     if compiled.depth == 0:
         raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    backend = resolve_backend(backend)
     separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
     elided = resolve_tracking(compiled, separation, track)
     plan = _plan_lanes(
@@ -473,11 +466,9 @@ def describe_packed_run(
         compiled.balanced,
         compiled.n_components,
         lanes=lanes,
-        step_overhead=planner_step_overhead(backend, elided),
+        step_overhead=planner_step_overhead(elided),
     ) if n_waves > 0 else None
     return {
-        "backend": backend,
-        "jit_compiled": backend == "jit" and jit_available(),
         "elided_tracking": elided,
         "balanced": compiled.balanced,
         "lanes": plan.n_lanes if plan else 0,
@@ -491,7 +482,6 @@ def plan_stream_batch(
     waves_per_stream: Sequence[int],
     clocking: Optional[ClockingScheme] = None,
     pipelined: bool = True,
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
 ) -> dict:
     """Resolve the lane plan one :func:`simulate_streams_packed` batch
@@ -504,14 +494,13 @@ def plan_stream_batch(
     truth — the planner that will execute the batch.  Zero-wave streams
     are planned as the empty streams they are (they occupy no lanes).
 
-    Returns a JSON-friendly dict: ``backend``, ``elided_tracking``,
-    ``n_streams``, ``total_waves``, ``lanes``, ``words``, ``steps``.
+    Returns a JSON-friendly dict: ``elided_tracking``, ``n_streams``,
+    ``total_waves``, ``lanes``, ``words``, ``steps``.
     """
     clocking = clocking or ClockingScheme()
     compiled = compile_netlist(netlist, clocking)
     if compiled.depth == 0:
         raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    backend = resolve_backend(backend)
     separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
     elided = resolve_tracking(compiled, separation, track)
     live = [int(waves) for waves in waves_per_stream if waves > 0]
@@ -522,10 +511,9 @@ def plan_stream_batch(
         separation,
         compiled.balanced,
         compiled.n_components,
-        step_overhead=planner_step_overhead(backend, elided),
+        step_overhead=planner_step_overhead(elided),
     ) if live else None
     return {
-        "backend": backend,
         "elided_tracking": elided,
         "n_streams": len(waves_per_stream),
         "total_waves": sum(live),
@@ -542,7 +530,6 @@ def _packed_reports(
     pipelined: bool,
     strict: bool,
     lanes: Optional[int],
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
     validate: bool = True,
 ) -> list[WaveSimulationReport]:
@@ -562,7 +549,6 @@ def _packed_reports(
     depth = compiled.depth
     if depth == 0:
         raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    backend = resolve_backend(backend)
 
     reports: list[Optional[WaveSimulationReport]] = [None] * len(streams)
     live = [
@@ -586,13 +572,13 @@ def _packed_reports(
         compiled.balanced,
         compiled.n_components,
         lanes=lanes,
-        step_overhead=planner_step_overhead(backend, elide),
+        step_overhead=planner_step_overhead(elide),
     )
     bits = _vector_bits(live_streams, netlist.n_inputs)
     inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
     ret_words, events = run_plan(
         compiled, plan, inj_words, inj_masks, inj_active, separation,
-        strict, backend=backend, elide=elide,
+        strict, elide=elide,
     )
 
     if strict and events:
@@ -625,7 +611,6 @@ def simulate_waves_packed(
     pipelined: bool = True,
     strict: bool = False,
     lanes: Optional[int] = None,
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
 ) -> WaveSimulationReport:
     """Packed-engine equivalent of :func:`~.simulator.simulate_waves`.
@@ -633,16 +618,14 @@ def simulate_waves_packed(
     Accepts the same arguments (minus ``engine``) and returns a report that
     is bit-identical to the scalar reference engine's, including the
     interference event list and its ordering.  *lanes* overrides the
-    planner's lane count (clamped to ``[1, n_waves]``); *backend* selects
-    the step-loop kernel (``"fused"`` numpy / ``"jit"`` numba loop nest,
-    ``None`` = auto); *track* forces (``True``) or demands the elision of
-    (``False``) wave-id tracking, ``None`` elides exactly when the static
-    interference-freedom proof holds.  The result is bit-identical for
-    every choice — only the speed/memory trade-off moves.
+    planner's lane count (clamped to ``[1, n_waves]``); *track* forces
+    (``True``) or demands the elision of (``False``) wave-id tracking,
+    ``None`` elides exactly when the static interference-freedom proof
+    holds.  The result is bit-identical for every choice — only the
+    speed/memory trade-off moves.
     """
     (report,) = _packed_reports(
-        netlist, [vectors], clocking, pipelined, strict, lanes,
-        backend=backend, track=track,
+        netlist, [vectors], clocking, pipelined, strict, lanes, track=track,
     )
     return report
 
@@ -653,7 +636,6 @@ def simulate_streams_packed(
     clocking: Optional[ClockingScheme] = None,
     pipelined: bool = True,
     strict: bool = False,
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
     validate: bool = True,
 ) -> list[WaveSimulationReport]:
@@ -664,9 +646,8 @@ def simulate_streams_packed(
     bit-identical to ``simulate_waves(netlist, stream, ...)`` on that
     stream alone.  All streams share the netlist and clocking; they are
     packed side by side across lanes/words so the whole batch advances in
-    a single phase-update loop (the serving scenario).  *backend* and
-    *track* select the kernel variant exactly as in
-    :func:`simulate_waves_packed`.
+    a single phase-update loop (the serving scenario).  *track* selects
+    the kernel variant exactly as in :func:`simulate_waves_packed`.
 
     In strict mode the error matches what the scalar engine would raise
     when the streams are simulated one after another: the first stream (in
@@ -678,7 +659,7 @@ def simulate_streams_packed(
     """
     return _packed_reports(
         netlist, list(streams), clocking, pipelined, strict, None,
-        backend=backend, track=track, validate=validate,
+        track=track, validate=validate,
     )
 
 
@@ -731,16 +712,15 @@ class SessionFeed:
 
 def _pack_session_slots(
     bits: np.ndarray, n_lanes: int, n_words: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Pack a pending wave block slot-major for one session advance.
 
     Wave ``j`` of the block goes to (relative) slot ``j // n_lanes``,
     lane ``j % n_lanes`` — slots fill from lane 0, so a session's wave
     order across slots enumerates the global wave sequence exactly like
     a one-shot plan's kept (lane, slot) pairs do.  Returns ``(words,
-    masks, active, inj_lane)`` with the :func:`_pack_injections`
-    meanings plus the dense per-(slot, lane) bool mask the tracked loop
-    nest consumes; the same bounded word-at-a-time shift/or packing.
+    masks, active)`` with the :func:`_pack_injections` meanings, by the
+    same bounded word-at-a-time shift/or packing.
     """
     n_waves, n_inputs = bits.shape
     n_slots = -(-n_waves // n_lanes)
@@ -765,7 +745,7 @@ def _pack_session_slots(
             np.where(valid[:, lo:hi], bit[None, :], _WORD(0)), axis=1
         )
     active = [np.nonzero(valid[slot])[0] for slot in range(n_slots)]
-    return words, masks, active, np.ascontiguousarray(valid)
+    return words, masks, active
 
 
 class PackedSession:
@@ -790,7 +770,7 @@ class PackedSession:
     — :class:`~repro.errors.SimulationError` says so at open time
     instead of silently diverging.  ``track=True`` still forces the
     tracked kernels (outputs identical, interference provably empty),
-    keeping the whole kernel matrix exercisable.
+    keeping both kernel variants exercisable.
 
     Use as a context manager or :meth:`close` explicitly — the
     lifecycle lint tracks sessions like files and locks.
@@ -801,7 +781,6 @@ class PackedSession:
         netlist: WaveNetlist,
         clocking: Optional[ClockingScheme] = None,
         pipelined: bool = True,
-        backend: Optional[str] = None,
         track: Optional[bool] = None,
         lanes: Optional[int] = None,
         validate: bool = True,
@@ -811,7 +790,6 @@ class PackedSession:
         self._compiled = compile_netlist(netlist, clocking)
         if self._compiled.depth == 0:
             raise SimulationError("cannot wave-simulate a depth-0 netlist")
-        self._backend = resolve_backend(backend)
         self._separation = wave_separation(
             self._compiled.depth, self._compiled.n_phases, pipelined
         )
@@ -944,7 +922,6 @@ class PackedSession:
     def describe(self) -> dict:
         """JSON-friendly session snapshot (metrics / CLI surface)."""
         return {
-            "backend": self._backend,
             "elided_tracking": self._elide,
             "lanes": self._state.n_lanes if self._state else 0,
             "words": self._state.n_words if self._state else 0,
@@ -978,7 +955,7 @@ class PackedSession:
         if self._state is None:
             self._state = SessionState(
                 self._compiled, self._separation, elide=self._elide,
-                backend=self._backend, n_lanes=n_lanes, n_words=n_words,
+                n_lanes=n_lanes, n_words=n_words,
             )
         elif (
             n_lanes > self._state.n_lanes or n_words > self._state.n_words
@@ -989,9 +966,7 @@ class PackedSession:
 
         sep = self._separation
         slot0 = -(-state.step // sep)  # next injection slot not yet fired
-        words, masks, active, inj_lane = _pack_session_slots(
-            bits, n_lanes, n_words
-        )
+        words, masks, active = _pack_session_slots(bits, n_lanes, n_words)
         n_slots = words.shape[0]
         for j in range(n_slots):
             self._slots.append(
@@ -1003,7 +978,7 @@ class PackedSession:
             )
         self._n_injected += n_waves
         target = (slot0 + n_slots - 1) * sep + 1  # one past last injection
-        self._advance(words, masks, active, inj_lane, slot0, target)
+        self._advance(words, masks, active, slot0, target)
 
     def _advance_to(self, target_step: int) -> None:
         """Advance with no new injections (the drain half of a flush)."""
@@ -1014,15 +989,13 @@ class PackedSession:
         n_inputs = self._netlist.n_inputs
         words = np.zeros((0, n_inputs, state.n_words), dtype=_WORD)
         masks = np.zeros((0, state.n_words), dtype=_WORD)
-        inj_lane = np.zeros((0, state.n_lanes), dtype=bool)
-        self._advance(words, masks, [], inj_lane, 0, target_step)
+        self._advance(words, masks, [], 0, target_step)
 
     def _advance(
         self,
         words: np.ndarray,
         masks: np.ndarray,
         active: list,
-        inj_lane: np.ndarray,
         slot0: int,
         target_step: int,
     ) -> None:
@@ -1037,8 +1010,8 @@ class PackedSession:
             dtype=_WORD,
         )
         state.advance(
-            target_step - state.step, words, masks, active, inj_lane,
-            slot0, ret_words, ret_slot0,
+            target_step - state.step, words, masks, active, slot0,
+            ret_words, ret_slot0,
         )
         self._harvest(ret_words, ret_slot0)
 
@@ -1094,7 +1067,6 @@ def open_packed_session(
     netlist: WaveNetlist,
     clocking: Optional[ClockingScheme] = None,
     pipelined: bool = True,
-    backend: Optional[str] = None,
     track: Optional[bool] = None,
     lanes: Optional[int] = None,
     validate: bool = True,
@@ -1109,6 +1081,6 @@ def open_packed_session(
     wave-ready — streaming bit-identity is impossible without balance.
     """
     return PackedSession(
-        netlist, clocking, pipelined=pipelined, backend=backend,
-        track=track, lanes=lanes, validate=validate,
+        netlist, clocking, pipelined=pipelined, track=track, lanes=lanes,
+        validate=validate,
     )

@@ -1,33 +1,19 @@
-"""Compiled step-loop kernels for the packed wave-simulation engine.
+"""Step-loop kernels for the packed wave-simulation engine.
 
 :mod:`repro.core.wavepipe.batch` owns the *planning* side of the packed
 engine — lane plans, injection packing, report merging.  This module owns
 the *execution* side: the per-clock-step hot loop that advances the
-``(n_components, n_words)`` uint64 state matrix, in four interchangeable
-variants spanning two axes.
+``(n_components, n_words)`` uint64 state matrix.
 
-Backend axis (``backend=``)
+The loop is whole-array numpy.  All scratch buffers are preallocated once
+per plan and every gather / complement / majority / scatter runs in place
+(``np.take(..., out=)``, ufunc ``out=``), so the loop performs **zero
+per-step allocations** and a fixed, small number of C-dispatched array
+calls per step.  It comes in two variants: *tracked*, which carries a
+wave id per component and lane, and *elided*, which drops it.
+
+Tracking variants (elision)
 ---------------------------
-``"fused"``
-    Whole-array numpy kernels.  All scratch buffers are preallocated once
-    per plan and every gather / complement / majority / scatter runs
-    in place (``np.take(..., out=)``, ufunc ``out=``), so the loop
-    performs **zero per-step allocations** and a fixed, small number of
-    C-dispatched array calls per step.  This is the default backend and
-    the fallback whenever numba is unavailable.
-``"jit"``
-    The same step loop written as a plain loop nest and compiled with
-    numba's ``@njit`` when numba is importable (install the ``[jit]``
-    extra).  Auto-selected over ``"fused"`` when numba is present;
-    ``repro simulate --no-jit``, ``REPRO_JIT=0``, or
-    :func:`set_default_backend` force the pure-numpy kernels.  Without
-    numba an explicit ``backend="jit"`` request still runs — as the
-    *uncompiled* loop nest — so the JIT code path stays testable (and
-    bit-identical) in numba-less environments; it is simply never
-    auto-selected there.
-
-Tracking axis (elision)
------------------------
 The scalar oracle tracks a wave id per component to detect interference.
 The packed engine mirrors that with an ``(n_components, n_lanes)`` int32
 matrix — which is by far the widest data the tracked loop touches (a lane
@@ -66,9 +52,9 @@ scatters become slice assignments (memcpy) instead of fancy indexing.
 Reported component ids stay in the netlist's own numbering
 (``maj_comp``); the permutation is invisible outside this module.
 
-All four kernel variants retire waves by snapshotting the output words
-into a preallocated ``(n_retire_slots, n_outputs, n_words)`` array; the
-per-wave bit extraction happens once, vectorized, after the loop (in
+Both variants retire waves by snapshotting the output words into a
+preallocated ``(n_retire_slots, n_outputs, n_words)`` array; the per-wave
+bit extraction happens once, vectorized, after the loop (in
 ``batch.py``'s report merging) instead of per retirement inside it.
 
 Resumable sessions
@@ -77,9 +63,9 @@ Resumable sessions
 packed value matrix, the wave-id matrix, the reusable scratch buffers,
 and the *absolute* step counter — so the loop can pause after step k and
 continue later with newly injected waves appended to the existing lanes.
-All four kernel variants run over absolute steps with explicit
-``(step0, slot0, ret_slot0)`` offsets; the one-shot entry points drive
-them with zero offsets over a fresh state, the streaming path
+Both variants run over absolute steps with explicit ``(step0, slot0,
+ret_slot0)`` offsets; the one-shot entry points drive them with zero
+offsets over a fresh state, the streaming path
 (:class:`repro.core.wavepipe.batch.PackedSession`) re-enters them with
 whatever step the previous feed left behind.  There is deliberately no
 second loop implementation to drift from the one-shot kernels.
@@ -87,11 +73,10 @@ second loop implementation to drift from the one-shot kernels.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -104,118 +89,31 @@ from .verify import is_balanced
 if TYPE_CHECKING:  # the plan type lives with the planner
     from .batch import _LanePlan
 
-try:  # optional JIT backend (the `repro[jit]` extra)
-    import numba
-except ImportError:  # pragma: no cover - exercised by the no-numba CI job
-    numba = None
-
 _WORD = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Step-loop backends accepted by the packed entry points.
-BACKENDS = ("fused", "jit")
-
-#: Process-wide backend override (``repro simulate --no-jit`` sets it).
-_BACKEND_OVERRIDE: Optional[str] = None
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-def jit_available() -> bool:
-    """True when numba is importable (the ``jit`` backend compiles)."""
-    return numba is not None
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Pin the process-wide default backend (``None`` restores auto).
-
-    The CLI's ``--no-jit`` escape hatch calls
-    ``set_default_backend("fused")``; libraries should prefer the
-    explicit ``backend=`` argument of the packed entry points.
-    """
-    if backend is not None and backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
-        )
-    global _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = backend
-
-
-def default_backend() -> str:
-    """Backend used when none is requested explicitly.
-
-    Resolution order: :func:`set_default_backend` override, then the
-    ``REPRO_JIT`` environment variable (``0``/``off`` forces the fused
-    numpy kernels, ``1``/``on`` requests the JIT loop nest), then
-    auto-detection: ``"jit"`` when numba is importable, else ``"fused"``.
-    """
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    env = os.environ.get("REPRO_JIT", "").strip().lower()
-    if env in ("0", "off", "false", "no"):
-        return "fused"
-    if env in ("1", "on", "true", "yes") and numba is not None:
-        return "jit"
-    # REPRO_JIT=1 without numba falls through to auto-detection (fused):
-    # the env var states a *preference*, and silently running the
-    # uncompiled loop nest would be orders of magnitude slower than
-    # fused.  An explicit backend="jit" argument still runs uncompiled
-    # (that is how the JIT code path is tested without numba).
-    return "jit" if numba is not None else "fused"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend choice or fall back to the default."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
-        )
-    return backend
-
-
-#: Planner calibration: the fixed per-step cost of each kernel variant
-#: (interpreter dispatch plus the width-independent array walks), in
-#: component-lane units — one tracked int32 wave-id element processed is
-#: one unit, the normalization of the PR-2 cost model.  A variant that
-#: moves *less* data per component-lane has a proportionally *larger*
-#: constant, pushing the planner toward wider plans (fewer, wider
-#: steps).  Measured on the suite's ctrl/i2c netlists; only the order of
-#: magnitude matters, the optimum is flat around its minimum.
-#:
-#: The jit constants are kept as calibrated at PR 3 (they are *not*
-#: re-derived from the fused ones): a compiled loop nest has near-zero
-#: per-step dispatch, so its fixed cost is dominated by the Python-side
-#: driver frame around each kernel call — which the hot-path lint now
-#: pins down to exactly the argument marshalling in ``_run_loop_nest``
-#: (no per-step Python work exists inside the nest at all).  That makes
-#: the jit constants *plan-shape* knobs rather than timing estimates:
-#: they only have to be large enough relative to the per-element cost
-#: that the planner prefers one wide plan over many narrow ones, and
-#: the optimum is flat for roughly a decade around each value
-#: (``benchmarks/bench_planner_overhead.py`` sweeps the constants and
-#: shows the plateau; re-run it under numba if the loop nests gain any
-#: per-step driver work).  Re-measuring inside a numba-less container
-#: would calibrate the *uncompiled* nests — orders of magnitude off —
-#: so the committed values deliberately stay the numba-measured ones.
+#: Planner calibration, keyed by ``elided``: the fixed per-step cost of
+#: each tracking variant (interpreter dispatch plus the width-independent
+#: array walks), in component-lane units — one tracked int32 wave-id
+#: element processed is one unit.  A variant that moves *less* data per
+#: component-lane has a proportionally *larger* constant, pushing the
+#: planner toward wider plans (fewer, wider steps).  Measured on the
+#: suite's ctrl/i2c netlists; only the order of magnitude matters, as the
+#: optimum is flat for roughly a decade around each value
+#: (``benchmarks/bench_planner_overhead.py`` sweeps both constants and
+#: shows the plateau).
 PLANNER_STEP_OVERHEAD = {
-    # tracked fused: the PR-2 loop's calibration (int32 matrix dominates)
-    ("fused", False): 400_000,
-    # elided fused: a lane is one bit of uint64 across ~10 in-place ops,
+    # tracked: the int32 wave-id matrix dominates
+    False: 400_000,
+    # elided: a lane is one bit of uint64 across ~10 in-place ops,
     # ~30x cheaper than a tracked wave-id element
-    ("fused", True): 4_000_000,
-    # jit loop nests: near-zero dispatch, but scalar per-lane work; the
-    # compiled loop's fixed cost per step is ~100x below fused's
-    ("jit", False): 1_000_000,
-    ("jit", True): 8_000_000,
+    True: 4_000_000,
 }
 
 
-def planner_step_overhead(backend: str, elided: bool) -> int:
-    """Cost-model constant for one (backend, tracking) kernel variant."""
-    return PLANNER_STEP_OVERHEAD[(resolve_backend(backend), bool(elided))]
+def planner_step_overhead(elided: bool) -> int:
+    """Cost-model constant of the tracked or the elided kernel variant."""
+    return PLANNER_STEP_OVERHEAD[bool(elided)]
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +356,8 @@ class SessionState:
     """
 
     __slots__ = (
-        "compiled", "separation", "elide", "backend", "n_lanes", "n_words",
-        "step", "value", "wave", "_phases", "_in_buf", "_nest",
+        "compiled", "separation", "elide", "n_lanes", "n_words", "step",
+        "value", "wave", "_phases", "_in_buf",
     )
 
     def __init__(
@@ -468,7 +366,6 @@ class SessionState:
         separation: int,
         *,
         elide: bool,
-        backend: Optional[str],
         n_lanes: int,
         n_words: int,
     ) -> None:
@@ -479,7 +376,6 @@ class SessionState:
         self.compiled = compiled
         self.separation = int(separation)
         self.elide = bool(elide)
-        self.backend = resolve_backend(backend)
         self.n_lanes = int(n_lanes)
         self.n_words = int(n_words)
         self.step = 0
@@ -497,10 +393,9 @@ class SessionState:
             self.wave[0, :] = -2  # constants belong to every wave
         self._phases: Optional[list] = None
         self._in_buf: Optional[np.ndarray] = None
-        self._nest: Optional[tuple] = None
 
     # -- scratch (rebuilt lazily after widen/restore) ------------------
-    def _fused_scratch(self) -> tuple:
+    def _scratch(self) -> tuple:
         if self._phases is None:
             self._phases = [
                 _PhaseScratch(
@@ -513,21 +408,6 @@ class SessionState:
                 (self.compiled.inputs.size, self.n_words), dtype=_WORD
             )
         return self._phases, self._in_buf
-
-    def _nest_scratch(self) -> tuple:
-        if self._nest is None:
-            n_maj = self.compiled.maj_comp.size
-            n_buf = self.compiled.buf_comp.size
-            new_maj = np.empty((n_maj, self.n_words), dtype=_WORD)
-            new_buf = np.empty((n_buf, self.n_words), dtype=_WORD)
-            if self.elide:
-                wacc_maj = np.empty((0, 0), dtype=np.int32)
-                wacc_buf = wacc_maj
-            else:
-                wacc_maj = np.empty((n_maj, self.n_lanes), dtype=np.int32)
-                wacc_buf = np.empty((n_buf, self.n_lanes), dtype=np.int32)
-            self._nest = (new_maj, new_buf, wacc_maj, wacc_buf)
-        return self._nest
 
     # -- checkpointing -------------------------------------------------
     def snapshot(self) -> SessionSnapshot:
@@ -542,7 +422,6 @@ class SessionState:
         if snap.n_lanes != self.n_lanes or snap.n_words != self.n_words:
             self._phases = None
             self._in_buf = None
-            self._nest = None
         self.step = snap.step
         self.n_lanes = snap.n_lanes
         self.n_words = snap.n_words
@@ -576,7 +455,6 @@ class SessionState:
         self.n_words = int(n_words)
         self._phases = None
         self._in_buf = None
-        self._nest = None
 
     # -- streaming advance ---------------------------------------------
     def advance(
@@ -585,7 +463,6 @@ class SessionState:
         inj_words: np.ndarray,
         inj_masks: np.ndarray,
         inj_active: list,
-        inj_lane: np.ndarray,
         slot0: int,
         ret_words: np.ndarray,
         ret_slot0: int,
@@ -605,20 +482,10 @@ class SessionState:
             self.n_lanes, np.iinfo(np.int64).max, dtype=np.int64
         )
         offset = np.zeros(self.n_lanes, dtype=np.int64)
-        if self.backend == "jit":
-            n_events, _ = _advance_loop_nest(
-                self, n_steps, inj_words, inj_masks, inj_lane, slot0,
-                ret_words, ret_slot0, keep_lo, keep_hi, offset, False, 16,
-            )
-        else:
-            n_events = len(
-                _advance_fused(
-                    self, n_steps, inj_words, inj_masks, inj_active,
-                    slot0, ret_words, ret_slot0, keep_lo, keep_hi, offset,
-                    False,
-                )
-            )
-        if n_events:
+        if _advance(
+            self, n_steps, inj_words, inj_masks, inj_active, slot0,
+            ret_words, ret_slot0, keep_lo, keep_hi, offset, False,
+        ):
             raise SimulationError(
                 "interference inside a streaming session: sessions "
                 "require a wave-ready (balanced) netlist, which makes "
@@ -627,10 +494,10 @@ class SessionState:
 
 
 # ----------------------------------------------------------------------
-# fused numpy kernels
+# step loop
 # ----------------------------------------------------------------------
 class _PhaseScratch:
-    """Preallocated per-phase buffers of the fused kernels.
+    """Preallocated per-phase buffers of the step loop.
 
     One combined gather serves the whole phase: rows ``[0:3m)`` hold the
     three MAJ fan-in planes, rows ``[3m:3m+b)`` the BUF/FOG fan-ins, so a
@@ -697,7 +564,9 @@ class _PhaseScratch:
             self.hit = np.empty(shape, dtype=bool)
 
 
-def _input_writer(compiled: CompiledWaveNetlist):
+def _input_writer(
+    compiled: CompiledWaveNetlist,
+) -> Union[slice, np.ndarray]:
     """(slice | index array) used to scatter freshly injected inputs."""
     if compiled.inputs_contiguous and compiled.inputs.size:
         lo = int(compiled.inputs[0])
@@ -706,7 +575,7 @@ def _input_writer(compiled: CompiledWaveNetlist):
 
 
 # lint: hot
-def _advance_fused(
+def _advance(
     state: SessionState,
     n_steps: int,
     inj_words: np.ndarray,
@@ -720,7 +589,7 @@ def _advance_fused(
     offset: np.ndarray,
     strict_single: bool,
 ) -> list:
-    """Advance *state* ``n_steps`` fused-numpy steps; returns raw events.
+    """Advance *state* ``n_steps`` steps; returns raw events.
 
     The loop covers absolute steps ``[state.step, state.step +
     n_steps)``: injection slot ``s`` (absolute) fires at step ``s *
@@ -742,7 +611,7 @@ def _advance_fused(
 
     value = state.value
     wave = state.wave
-    phases, in_buf = state._fused_scratch()
+    phases, in_buf = state._scratch()
     inv_masks = ~inj_masks
     in_rows = _input_writer(compiled)
     in_rows_col = (
@@ -877,358 +746,8 @@ def _advance_fused(
     return raw_events
 
 
-def _run_fused(
-    compiled: CompiledWaveNetlist,
-    plan: "_LanePlan",
-    inj_words: np.ndarray,
-    inj_masks: np.ndarray,
-    inj_active: list,
-    separation: int,
-    strict: bool,
-    elide: bool,
-) -> tuple[np.ndarray, list]:
-    """Fused numpy step loop; returns ``(ret_words, raw_events)``.
-
-    One-shot contract: a fresh :class:`SessionState` advanced across the
-    plan's whole timeline with zero offsets, then discarded.
-    """
-    state = SessionState(
-        compiled, separation, elide=elide, backend="fused",
-        n_lanes=plan.n_lanes, n_words=plan.n_words,
-    )
-    n_ret = _retire_slot_count(plan.local_steps, compiled.depth, separation)
-    ret_words = np.empty(
-        (n_ret, compiled.out_node.size, plan.n_words), dtype=_WORD
-    )
-    strict_single = bool(strict and plan.stream_waves.size == 1)
-    raw_events = _advance_fused(
-        state, plan.local_steps, inj_words, inj_masks, inj_active, 0,
-        ret_words, 0, plan.keep_lo, plan.keep_hi, plan.offset,
-        strict_single,
-    )
-    return ret_words, raw_events
-
-
 # ----------------------------------------------------------------------
-# loop-nest kernels (numba-compiled when available)
-# ----------------------------------------------------------------------
-# lint: hot
-def _kernel_elided(
-    value, new_maj, new_buf, step0, local_steps, p, separation, depth,
-    maj_ptr, maj_pos, maj_a, maj_b, maj_c, neg_a, neg_b, neg_c,
-    buf_ptr, buf_pos, buf_src, buf_neg,
-    inputs, inj_words, inj_masks, slot0, n_slots,
-    out_node, out_neg, ret_words, ret_slot0,
-):
-    """Elided step loop as a plain loop nest (numba-compilable).
-
-    Mutates ``value`` and fills ``ret_words``; ``new_maj``/``new_buf``
-    buffer one phase's updates so all reads see the pre-step snapshot.
-    The loop covers absolute steps ``[step0, step0 + local_steps)``;
-    injection and retire rows are indexed relative to ``slot0`` /
-    ``ret_slot0`` (all zero on the one-shot path).
-    """
-    n_words = value.shape[1]
-    n_ret = ret_words.shape[0]
-    for step in range(step0, step0 + local_steps):
-        if step % separation == 0:
-            slot = step // separation - slot0
-            if 0 <= slot < n_slots:
-                for i in range(inputs.shape[0]):
-                    comp = inputs[i]
-                    for w in range(n_words):
-                        value[comp, w] = (
-                            value[comp, w] & ~inj_masks[slot, w]
-                        ) | inj_words[slot, i, w]
-        ph = step % p
-        m0, m1 = maj_ptr[ph], maj_ptr[ph + 1]
-        for k in range(m0, m1):
-            ra, rb, rc = maj_a[k], maj_b[k], maj_c[k]
-            na, nb, nc = neg_a[k], neg_b[k], neg_c[k]
-            for w in range(n_words):
-                va = value[ra, w] ^ na
-                vb = value[rb, w] ^ nb
-                vc = value[rc, w] ^ nc
-                new_maj[k, w] = (va & vb) | (va & vc) | (vb & vc)
-        b0, b1 = buf_ptr[ph], buf_ptr[ph + 1]
-        for k in range(b0, b1):
-            rs, ng = buf_src[k], buf_neg[k]
-            for w in range(n_words):
-                new_buf[k, w] = value[rs, w] ^ ng
-        for k in range(m0, m1):
-            row = maj_pos[ph] + (k - m0)
-            for w in range(n_words):
-                value[row, w] = new_maj[k, w]
-        for k in range(b0, b1):
-            row = buf_pos[ph] + (k - b0)
-            for w in range(n_words):
-                value[row, w] = new_buf[k, w]
-        if step >= depth and (step - depth) % separation == 0:
-            ret = (step - depth) // separation - ret_slot0
-            if 0 <= ret < n_ret:
-                for o in range(out_node.shape[0]):
-                    for w in range(n_words):
-                        ret_words[ret, o, w] = (
-                            value[out_node[o], w] ^ out_neg[o]
-                        )
-    return 0
-
-
-# lint: hot
-def _kernel_tracked(
-    value, wave, new_maj, new_buf, wacc_maj, wacc_buf,
-    step0, local_steps, p, separation, depth,
-    maj_ptr, maj_pos, maj_a, maj_b, maj_c, neg_a, neg_b, neg_c,
-    buf_ptr, buf_pos, buf_src, buf_neg,
-    inputs, inj_words, inj_masks, slot0, n_slots,
-    out_node, out_neg, ret_words, ret_slot0,
-    inj_lane, keep_lo, keep_hi, offset, strict_single,
-    ev_k, ev_step, ev_lane, ev_a, ev_b, ev_c,
-):
-    """Tracked step loop as a plain loop nest (numba-compilable).
-
-    Records kept interference events as raw ``(flat index, step, lane,
-    wa, wb, wc)`` rows into the ``ev_*`` arrays; returns the total kept
-    event count, which may exceed the arrays' capacity — the caller then
-    retries with larger buffers (counting continues past capacity so one
-    retry always suffices).  ``inj_lane[slot, lane]`` says whether that
-    lane latches a new wave in that (relative) slot; wave ids and steps
-    are recorded in absolute terms (``slot + slot0``, absolute step).
-    """
-    n_words = value.shape[1]
-    n_lanes = wave.shape[1]
-    n_ret = ret_words.shape[0]
-    cap = ev_k.shape[0]
-    n_events = 0
-    earliest = -1
-    for step in range(step0, step0 + local_steps):
-        if step % separation == 0:
-            slot = step // separation - slot0
-            if 0 <= slot < n_slots:
-                for i in range(inputs.shape[0]):
-                    comp = inputs[i]
-                    for w in range(n_words):
-                        value[comp, w] = (
-                            value[comp, w] & ~inj_masks[slot, w]
-                        ) | inj_words[slot, i, w]
-                    for lane in range(n_lanes):
-                        if inj_lane[slot, lane]:
-                            wave[comp, lane] = np.int32(slot + slot0)
-        ph = step % p
-        m0, m1 = maj_ptr[ph], maj_ptr[ph + 1]
-        for k in range(m0, m1):
-            ra, rb, rc = maj_a[k], maj_b[k], maj_c[k]
-            na, nb, nc = neg_a[k], neg_b[k], neg_c[k]
-            for w in range(n_words):
-                va = value[ra, w] ^ na
-                vb = value[rb, w] ^ nb
-                vc = value[rc, w] ^ nc
-                new_maj[k, w] = (va & vb) | (va & vc) | (vb & vc)
-        b0, b1 = buf_ptr[ph], buf_ptr[ph + 1]
-        for k in range(b0, b1):
-            rs, ng = buf_src[k], buf_neg[k]
-            for w in range(n_words):
-                new_buf[k, w] = value[rs, w] ^ ng
-            for lane in range(n_lanes):
-                wacc_buf[k, lane] = wave[rs, lane]
-        for k in range(m0, m1):
-            ra, rb, rc = maj_a[k], maj_b[k], maj_c[k]
-            for lane in range(n_lanes):
-                wa = wave[ra, lane]
-                wb = wave[rb, lane]
-                wc = wave[rc, lane]
-                if wa == -1 or wb == -1 or wc == -1:
-                    nw = np.int32(-1)
-                else:
-                    top = wa
-                    if wb > top:
-                        top = wb
-                    if wc > top:
-                        top = wc
-                    nw = top if top >= 0 else np.int32(-2)
-                wacc_maj[k, lane] = nw
-                hit = (
-                    (wa >= 0 and wb >= 0 and wa != wb)
-                    or (wa >= 0 and wc >= 0 and wa != wc)
-                    or (wb >= 0 and wc >= 0 and wb != wc)
-                )
-                if hit and keep_lo[lane] <= step and step < keep_hi[lane]:
-                    if n_events < cap:
-                        ev_k[n_events] = k
-                        ev_step[n_events] = step
-                        ev_lane[n_events] = lane
-                        ev_a[n_events] = wa
-                        ev_b[n_events] = wb
-                        ev_c[n_events] = wc
-                    n_events += 1
-                    absolute = step + offset[lane]
-                    if earliest < 0 or absolute < earliest:
-                        earliest = absolute
-        for k in range(m0, m1):
-            row = maj_pos[ph] + (k - m0)
-            for w in range(n_words):
-                value[row, w] = new_maj[k, w]
-            for lane in range(n_lanes):
-                wave[row, lane] = wacc_maj[k, lane]
-        for k in range(b0, b1):
-            row = buf_pos[ph] + (k - b0)
-            for w in range(n_words):
-                value[row, w] = new_buf[k, w]
-            for lane in range(n_lanes):
-                wave[row, lane] = wacc_buf[k, lane]
-        if step >= depth and (step - depth) % separation == 0:
-            ret = (step - depth) // separation - ret_slot0
-            if 0 <= ret < n_ret:
-                for o in range(out_node.shape[0]):
-                    for w in range(n_words):
-                        ret_words[ret, o, w] = (
-                            value[out_node[o], w] ^ out_neg[o]
-                        )
-        if strict_single and earliest >= 0 and step > earliest:
-            break
-    return n_events
-
-
-#: kernel name -> compiled (or plain, without numba) callable
-_LOOP_KERNELS: dict[str, object] = {}
-
-#: Guards ``_LOOP_KERNELS``: the serving layer's shard threads request
-#: loop kernels concurrently, and without the lock two threads could
-#: each wrap (and later numba-compile) their own copy of a kernel —
-#: harmless for results, wasteful for compile time, and an unguarded
-#: dict mutation the concurrency lint would rightly treat as a smell.
-_LOOP_KERNELS_LOCK = threading.Lock()
-
-
-def _loop_kernel(name: str):
-    """The elided/tracked loop nest, numba-compiled when importable."""
-    with _LOOP_KERNELS_LOCK:
-        kernel = _LOOP_KERNELS.get(name)
-        if kernel is None:
-            kernel = _kernel_elided if name == "elided" else _kernel_tracked
-            if numba is not None:
-                kernel = numba.njit(cache=False)(kernel)
-            _LOOP_KERNELS[name] = kernel
-        return kernel
-
-
-def _advance_loop_nest(
-    state: SessionState,
-    n_steps: int,
-    inj_words: np.ndarray,
-    inj_masks: np.ndarray,
-    inj_lane: Optional[np.ndarray],
-    slot0: int,
-    ret_words: np.ndarray,
-    ret_slot0: int,
-    keep_lo: np.ndarray,
-    keep_hi: np.ndarray,
-    offset: np.ndarray,
-    strict_single: bool,
-    capacity: int,
-) -> tuple[int, list]:
-    """Advance *state* ``n_steps`` loop-nest steps (numba when available).
-
-    Returns ``(n_events, raw_events)``.  ``n_events`` may exceed
-    *capacity*, in which case ``raw_events`` is truncated and the caller
-    must retry over a *fresh* state with larger buffers (the kernels
-    mutate the state in place, so a capacity overflow poisons it for
-    resumption — the one-shot driver below simply rebuilds).
-    """
-    compiled = state.compiled
-    new_maj, new_buf, wacc_maj, wacc_buf = state._nest_scratch()
-    common = (
-        state.step, n_steps, compiled.n_phases, state.separation,
-        compiled.depth,
-        compiled.maj_ptr, compiled.maj_pos,
-        np.ascontiguousarray(compiled.maj_src[0]),
-        np.ascontiguousarray(compiled.maj_src[1]),
-        np.ascontiguousarray(compiled.maj_src[2]),
-        np.ascontiguousarray(compiled.maj_neg[0]),
-        np.ascontiguousarray(compiled.maj_neg[1]),
-        np.ascontiguousarray(compiled.maj_neg[2]),
-        compiled.buf_ptr, compiled.buf_pos,
-        compiled.buf_src, compiled.buf_neg,
-        compiled.inputs, inj_words, inj_masks, slot0, inj_words.shape[0],
-        compiled.out_node, compiled.out_neg, ret_words, ret_slot0,
-    )
-    if state.elide:
-        _loop_kernel("elided")(state.value, new_maj, new_buf, *common)
-        state.step += n_steps
-        return 0, []
-
-    ev_k = np.empty(capacity, dtype=np.int64)
-    ev_step = np.empty(capacity, dtype=np.int64)
-    ev_lane = np.empty(capacity, dtype=np.int64)
-    ev_a = np.empty(capacity, dtype=np.int64)
-    ev_b = np.empty(capacity, dtype=np.int64)
-    ev_c = np.empty(capacity, dtype=np.int64)
-    n_events = _loop_kernel("tracked")(
-        state.value, state.wave, new_maj, new_buf, wacc_maj, wacc_buf,
-        *common,
-        inj_lane, keep_lo, keep_hi, offset, strict_single,
-        ev_k, ev_step, ev_lane, ev_a, ev_b, ev_c,
-    )
-    state.step += n_steps
-    raw_events = [
-        (
-            int(ev_k[i]), int(ev_step[i]), int(ev_lane[i]),
-            int(ev_a[i]), int(ev_b[i]), int(ev_c[i]),
-        )
-        for i in range(min(n_events, capacity))
-    ]
-    return n_events, raw_events
-
-
-def _run_loop_nest(
-    compiled: CompiledWaveNetlist,
-    plan: "_LanePlan",
-    inj_words: np.ndarray,
-    inj_masks: np.ndarray,
-    separation: int,
-    strict: bool,
-    elide: bool,
-) -> tuple[np.ndarray, list]:
-    """Drive the loop-nest kernels; same contract as :func:`_run_fused`."""
-    n_ret = _retire_slot_count(plan.local_steps, compiled.depth, separation)
-    ret_words = np.empty(
-        (n_ret, compiled.out_node.size, plan.n_words), dtype=_WORD
-    )
-
-    def fresh_state() -> SessionState:
-        return SessionState(
-            compiled, separation, elide=elide, backend="jit",
-            n_lanes=plan.n_lanes, n_words=plan.n_words,
-        )
-
-    if elide:
-        _advance_loop_nest(
-            fresh_state(), plan.local_steps, inj_words, inj_masks, None,
-            0, ret_words, 0, plan.keep_lo, plan.keep_hi, plan.offset,
-            False, 0,
-        )
-        return ret_words, []
-
-    strict_single = bool(strict and plan.stream_waves.size == 1)
-    n_slots = inj_words.shape[0]
-    inj_lane = np.ascontiguousarray(
-        np.arange(n_slots, dtype=np.int64)[:, None] < plan.n_inj[None, :]
-    )
-    capacity = 1024
-    while True:
-        n_events, raw_events = _advance_loop_nest(
-            fresh_state(), plan.local_steps, inj_words, inj_masks,
-            inj_lane, 0, ret_words, 0, plan.keep_lo, plan.keep_hi,
-            plan.offset, strict_single, capacity,
-        )
-        if n_events <= capacity:
-            break
-        capacity = 2 * n_events  # one retry always suffices
-    return ret_words, raw_events
-
-
-# ----------------------------------------------------------------------
-# dispatch + event materialization
+# one-shot run + event materialization
 # ----------------------------------------------------------------------
 def run_plan(
     compiled: CompiledWaveNetlist,
@@ -1238,10 +757,9 @@ def run_plan(
     inj_active: list,
     separation: int,
     strict: bool,
-    backend: Optional[str] = None,
     elide: Optional[bool] = None,
 ) -> tuple[np.ndarray, list]:
-    """Advance every lane of *plan* with the selected kernel variant.
+    """Advance every lane of *plan* with the tracked or elided kernels.
 
     Returns ``(ret_words, events)``: the per-retire-slot output-word
     snapshots (bit extraction happens in the caller's report merging) and
@@ -1249,21 +767,27 @@ def run_plan(
     WaveInterference)`` sorted the way the scalar loop emits them (per
     stream, then by step, then by within-phase order).  *elide* of
     ``None`` applies :func:`can_elide_tracking`; an explicit ``True`` is
-    rejected when the static proof does not hold.
+    rejected when the static proof does not hold.  The run is a fresh
+    :class:`SessionState` advanced across the plan's whole timeline with
+    zero offsets, then discarded.
     """
-    backend = resolve_backend(backend)
     elide = resolve_tracking(
         compiled, separation, None if elide is None else not elide
     )
-    if backend == "jit":
-        ret_words, raw = _run_loop_nest(
-            compiled, plan, inj_words, inj_masks, separation, strict, elide
-        )
-    else:
-        ret_words, raw = _run_fused(
-            compiled, plan, inj_words, inj_masks, inj_active, separation,
-            strict, elide,
-        )
+    state = SessionState(
+        compiled, separation, elide=elide,
+        n_lanes=plan.n_lanes, n_words=plan.n_words,
+    )
+    n_ret = _retire_slot_count(plan.local_steps, compiled.depth, separation)
+    ret_words = np.empty(
+        (n_ret, compiled.out_node.size, plan.n_words), dtype=_WORD
+    )
+    strict_single = bool(strict and plan.stream_waves.size == 1)
+    raw = _advance(
+        state, plan.local_steps, inj_words, inj_masks, inj_active, 0,
+        ret_words, 0, plan.keep_lo, plan.keep_hi, plan.offset,
+        strict_single,
+    )
     return ret_words, _materialize_events(compiled, plan, raw)
 
 

@@ -33,15 +33,14 @@ interference events, in the same order):
     one-bit-per-lane into a ``(n_components, n_words)`` matrix of
     ``uint64`` words — the layout of :mod:`repro.core.simulate`, extended
     along a word axis) and :mod:`repro.core.wavepipe.kernels` executes
-    the per-clock-step hot loop with zero-allocation compiled kernels:
-    pure-numpy fused kernels by default, a numba-JIT loop nest when numba
-    is installed (the ``[jit]`` extra; ``REPRO_JIT=0`` or ``repro
-    simulate --no-jit`` opt out), and with the per-lane wave-id tracking
-    *elided* whenever the netlist's balance statically proves
+    the per-clock-step hot loop with zero-allocation in-place numpy
+    kernels.  They come in two variants: *tracked*, which carries a wave
+    id per component and lane as the oracle does, and *elided*, which
+    drops it whenever the netlist's balance statically proves
     interference impossible.  Per-phase component/fan-in tables are
     compiled once per netlist revision; the lane count is unbounded — the
     planner fills as many 64-lane words as the stream warrants, using
-    per-backend cost constants — so 10^4–10^5-wave streams run in one
+    one cost constant per variant — so 10^4–10^5-wave streams run in one
     pass.  Lanes re-simulate a short warm-up/overlap window so that the
     coupled dynamics of adjacent waves — including interference on
     unbalanced netlists — stay bit-identical to the reference engine.

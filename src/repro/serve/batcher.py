@@ -203,12 +203,7 @@ class Batcher:
             or batch.n_waves >= self.max_batch_waves
         )
 
-    def plan(
-        self,
-        batch: Batch,
-        backend: Optional[str] = None,
-        track: Optional[bool] = None,
-    ) -> dict:
+    def plan(self, batch: Batch) -> dict:
         """Lane plan of *batch* as the packed engine will run it.
 
         Thin wrapper over
@@ -225,7 +220,7 @@ class Batcher:
         # allocated at a recycled address after the old one was
         # collected; holding the reference in the bounded memo keeps
         # the id stable for exactly as long as the entry lives
-        cache_key = (batch.netlist, batch.key, lengths, backend, track)
+        cache_key = (batch.netlist, batch.key, lengths)
         with self._plan_lock:
             cached = self._plan_memo.get(cache_key)
         if cached is not None:
@@ -235,8 +230,6 @@ class Batcher:
             list(lengths),
             clocking=batch.clocking,
             pipelined=batch.pipelined,
-            backend=backend,
-            track=track,
         )
         with self._plan_lock:
             if len(self._plan_memo) >= self._PLAN_MEMO_LIMIT:

@@ -207,11 +207,12 @@ class SimulationServer:
     supervision:
         :class:`~repro.serve.supervisor.SupervisorConfig` overriding
         the process-shard backoff/breaker/retry-budget policy.
-    clocking / pipelined / backend / track:
-        Server-wide simulation defaults; ``clocking`` and ``pipelined``
-        can be overridden per request in :meth:`submit` (the group key
-        keeps incompatible requests apart), ``backend``/``track`` select
-        the kernel variant for every batch.
+    clocking / pipelined:
+        Server-wide simulation defaults, both overridable per request in
+        :meth:`submit` (the group key keeps incompatible requests apart).
+        Every batch and session runs the packed engine's kernels with
+        wave-id tracking elided exactly when the netlist's balance
+        proves interference impossible.
     warm_netlists:
         Netlists to pre-compile before the first request: in thread
         mode their plans are built here, at construction; with process
@@ -242,8 +243,6 @@ class SimulationServer:
         supervision: Optional[SupervisorConfig] = None,
         clocking: Optional[ClockingScheme] = None,
         pipelined: bool = True,
-        backend: Optional[str] = None,
-        track: Optional[bool] = None,
         warm_netlists: Optional[Sequence[WaveNetlist]] = None,
         start: bool = True,
     ) -> None:
@@ -262,8 +261,6 @@ class SimulationServer:
         self._shards = max(int(shards), int(process_shards))
         self._clocking = clocking or ClockingScheme()
         self._pipelined = bool(pipelined)
-        self._backend = backend
-        self._track = track
         self._max_linger_steps = int(max_linger_steps)
         self._linger_wait_s = float(linger_wait_s)
         self._default_deadline_s = (
@@ -863,9 +860,7 @@ class SimulationServer:
         if not live:
             return
         try:
-            plan = self._batcher.plan(
-                batch, backend=self._backend, track=self._track
-            )
+            plan = self._batcher.plan(batch)
             streams = [request.vectors for request in live]
             if self._pool is not None:
                 reports = self._pool.simulate(
@@ -873,8 +868,6 @@ class SimulationServer:
                     streams,
                     n_phases=batch.clocking.n_phases,
                     pipelined=batch.pipelined,
-                    backend=self._backend,
-                    track=self._track,
                     route_key=batch.key,
                 )
             else:
@@ -902,8 +895,6 @@ class SimulationServer:
                     clocking=batch.clocking,
                     pipelined=batch.pipelined,
                     strict=False,
-                    backend=self._backend,
-                    track=self._track,
                     validate=False,  # every stream validated at submit
                 )
         except BaseException as error:  # resolve futures, never kill a shard
@@ -1013,8 +1004,6 @@ class ServerSession:
                 netlist,
                 n_phases=clocking.n_phases,
                 pipelined=pipelined,
-                backend=server._backend,
-                track=server._track,
                 route_key=self._route,
             )
         else:
@@ -1022,8 +1011,6 @@ class ServerSession:
                 netlist,
                 clocking=clocking,
                 pipelined=pipelined,
-                backend=server._backend,
-                track=server._track,
                 validate=False,  # feeds validate in the caller's thread
             )
         self._thread = threading.Thread(
@@ -1338,8 +1325,6 @@ class ServerSession:
             self._netlist,
             n_phases=self._clocking.n_phases,
             pipelined=self._pipelined,
-            backend=self._server._backend,
-            track=self._server._track,
             route_key=self._route,
         )
         for block in self._log[:upto]:

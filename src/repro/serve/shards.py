@@ -102,8 +102,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
     (Excluded from coverage measurement: this body runs in spawned
     child processes, outside the parent's coverage tracer.)
     """
-    # imported here so the spawn-time module import stays cheap and the
-    # child resolves its *own* kernel backend (numba may differ)
+    # the engine entry points, imported inside the child that runs them
     from ..core.wavepipe.batch import (
         open_packed_session,
         simulate_streams_packed,
@@ -180,12 +179,12 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             continue
         reply: tuple[str, object]
         if kind == "s_open":
-            # ("s_open", sid, netlist, n_phases, pipelined, backend,
-            #  track): create (or recreate, for a feed-log replay) the
-            # worker-side engine session.  The netlist is always shipped
-            # — sessions are long-lived, so the one-time pickle cost is
-            # amortized across every feed that follows.
-            _, sid, netlist, n_phases, pipelined, backend, track = message
+            # ("s_open", sid, netlist, n_phases, pipelined): create (or
+            # recreate, for a feed-log replay) the worker-side engine
+            # session.  The netlist is always shipped — sessions are
+            # long-lived, so the one-time pickle cost is amortized
+            # across every feed that follows.
+            _, sid, netlist, n_phases, pipelined = message
             try:
                 stale = sessions.pop(sid, None)
                 if stale is not None:
@@ -194,8 +193,6 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                     netlist,
                     clocking=ClockingScheme(n_phases),
                     pipelined=pipelined,
-                    backend=backend,
-                    track=track,
                     validate=False,  # validated in the parent at open time
                 )
                 reply = ("ok", None)
@@ -254,19 +251,8 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             if not _send_reply(reply):
                 return
             continue
-        # ("run", key, netlist | None, n_phases, pipelined, streams,
-        #  backend, track, fault)
-        (
-            _,
-            key,
-            netlist,
-            n_phases,
-            pipelined,
-            streams,
-            backend,
-            track,
-            fault,
-        ) = message
+        # ("run", key, netlist | None, n_phases, pipelined, streams, fault)
+        _, key, netlist, n_phases, pipelined, streams, fault = message
         _run_fault(fault)
         try:
             if netlist is not None:
@@ -288,8 +274,6 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                 clocking=ClockingScheme(n_phases),
                 pipelined=pipelined,
                 strict=False,
-                backend=backend,
-                track=track,
                 validate=False,  # validated in the parent at submit time
             )
             reply = ("ok", reports)
@@ -749,8 +733,6 @@ class ProcessShardPool:
         wire: list,
         n_phases: int,
         pipelined: bool,
-        backend: Optional[str],
-        track: Optional[bool],
         route: object,
     ) -> list:
         """One dispatch attempt on slot *index* (its lock is held).
@@ -790,8 +772,6 @@ class ProcessShardPool:
                         int(n_phases),
                         bool(pipelined),
                         wire,
-                        backend,
-                        track,
                         directive,
                     )
                 )
@@ -826,8 +806,6 @@ class ProcessShardPool:
         *,
         n_phases: int = 3,
         pipelined: bool = True,
-        backend: Optional[str] = None,
-        track: Optional[bool] = None,
         route_key: object = None,
     ) -> list:
         """Run one batch on this group's worker; returns the reports.
@@ -870,7 +848,7 @@ class ProcessShardPool:
                     try:
                         return self._attempt(
                             index, key, netlist, wire, int(n_phases),
-                            bool(pipelined), backend, track, route,
+                            bool(pipelined), route,
                         )
                     except _AttemptFailed as failed:
                         # recover the slot while still holding its lock:
@@ -915,8 +893,6 @@ class ProcessShardPool:
         *,
         n_phases: int = 3,
         pipelined: bool = True,
-        backend: Optional[str] = None,
-        track: Optional[bool] = None,
         route_key: object = None,
     ) -> int:
         """Open (or re-open, for a feed-log replay) a worker session.
@@ -962,8 +938,6 @@ class ProcessShardPool:
                                     netlist,
                                     int(n_phases),
                                     bool(pipelined),
-                                    backend,
-                                    track,
                                 )
                             )
                         except (OSError, ValueError):

@@ -85,6 +85,16 @@ class TestSimulate:
         assert "interference events" in out
         assert "golden    : MISMATCH" in out
 
+    def test_kernel_line_reports_tracking(self, capsys):
+        # the flow's balanced netlist elides wave-id tracking; the raw
+        # (unbalanced) netlist must run the tracked kernels
+        assert main(["simulate", "circuit:adder:3", "--waves", "8"]) == 0
+        assert "kernel    : tracking=elided," in capsys.readouterr().out
+        assert main(
+            ["simulate", "circuit:adder:3", "--raw", "--waves", "8"]
+        ) == 0
+        assert "kernel    : tracking=tracked," in capsys.readouterr().out
+
     def test_non_pipelined_and_phases(self, capsys):
         assert main(
             ["simulate", "circuit:mux:2", "--no-pipeline", "--phases", "4",
@@ -124,7 +134,7 @@ class TestServeBench:
             ["serve-bench", "circuit:adder:3", "--requests", "6",
              "--waves", "4", "--max-batch-requests", "3",
              "--max-batch-waves", "64", "--max-linger-steps", "0",
-             "--trials", "1", "--no-jit"]
+             "--trials", "1"]
         ) == 0
         assert "identity  : ok" in capsys.readouterr().out
 

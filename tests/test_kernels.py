@@ -1,22 +1,18 @@
-"""Kernel-layer tests: backends, tracking elision, planner calibration.
+"""Kernel-layer tests: tracking elision and planner calibration.
 
 ``tests/test_batch_engine.py`` pins the packed engine's default path to
-the scalar oracle; this module covers the kernel matrix introduced by the
-kernelized step loop (`repro.core.wavepipe.kernels`):
+the scalar oracle; this module covers the two kernel variants of the
+step loop (`repro.core.wavepipe.kernels`):
 
-* every backend (fused numpy / JIT loop nest) x tracking variant
-  (tracked / elided) produces reports bit-identical to the scalar
-  oracle, under planner defaults and explicit ``lanes=`` overrides;
+* both tracking variants (tracked / elided) produce reports
+  bit-identical to the scalar oracle, under planner defaults and
+  explicit ``lanes=`` overrides;
 * the elided fast path is *never* taken on a netlist where the scalar
   oracle reports interference (the static safety proof), and demanding
   it there raises;
-* strict-mode error messages are unchanged across every backend;
+* strict-mode error messages are unchanged;
 * the lane planner's cost model is monotone, respects the 16-word cap,
-  and shifts with the per-backend calibration constants.
-
-Without numba the ``jit`` backend runs as the uncompiled loop nest — the
-exact code numba would compile — so these tests exercise the JIT code
-path in both CI configurations.
+  and shifts with the per-variant calibration constants.
 """
 
 from functools import lru_cache
@@ -26,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wavepipe import (
-    BACKENDS,
     ClockingScheme,
     WaveNetlist,
     can_elide_tracking,
@@ -47,10 +42,7 @@ from repro.core.wavepipe.batch import (
 )
 from repro.core.wavepipe.kernels import (
     PLANNER_STEP_OVERHEAD,
-    default_backend,
     planner_step_overhead,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.errors import SimulationError
 
@@ -88,48 +80,36 @@ def _buf_only_phase_netlist() -> WaveNetlist:
     return netlist
 
 
-class TestBackendMatrix:
-    """Every (backend, tracking) kernel variant equals the oracle."""
+class TestTrackingVariants:
+    """The tracked and the elided kernels both equal the oracle."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("n_waves", [1, 40, 70])
-    def test_balanced_identity(
-        self, balanced_netlist, backend, track, n_waves
-    ):
+    def test_balanced_identity(self, balanced_netlist, track, n_waves):
         vectors = _vectors(balanced_netlist.n_inputs, n_waves, seed=n_waves)
         scalar = simulate_waves(balanced_netlist, vectors, engine="python")
-        packed = simulate_waves_packed(
-            balanced_netlist, vectors, backend=backend, track=track
-        )
+        packed = simulate_waves_packed(balanced_netlist, vectors, track=track)
         assert packed == scalar  # dataclass ==: every report field
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_waves", [1, 40, 70])
-    def test_unbalanced_identity(
-        self, unbalanced_netlist, backend, n_waves
-    ):
-        # interference events force the tracked kernels on both backends
+    def test_unbalanced_identity(self, unbalanced_netlist, n_waves):
+        # interference events force the tracked kernels
         vectors = _vectors(
             unbalanced_netlist.n_inputs, n_waves, seed=n_waves
         )
         scalar = simulate_waves(unbalanced_netlist, vectors, engine="python")
-        packed = simulate_waves_packed(
-            unbalanced_netlist, vectors, backend=backend
-        )
+        packed = simulate_waves_packed(unbalanced_netlist, vectors)
         assert packed == scalar
         if n_waves > 1:
             assert not packed.coherent  # the case actually interferes
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("lanes", [1, 7, 63, 64, 65, 100])
     def test_lanes_override_identity(
-        self, balanced_netlist, unbalanced_netlist, backend, track, lanes
+        self, balanced_netlist, unbalanced_netlist, track, lanes
     ):
-        # satellite: lanes= report-identity under every backend, across
-        # word boundaries, tracked and elided (elided skipped where the
-        # proof cannot hold)
+        # lanes= report-identity across word boundaries, tracked and
+        # elided (elided skipped where the proof cannot hold)
         for netlist in (balanced_netlist, unbalanced_netlist):
             vectors = _vectors(netlist.n_inputs, 70, seed=lanes)
             scalar = simulate_waves(netlist, vectors, engine="python")
@@ -138,15 +118,13 @@ class TestBackendMatrix:
             else:
                 track_arg = track
             packed = simulate_waves_packed(
-                netlist, vectors, backend=backend, track=track_arg,
-                lanes=lanes,
+                netlist, vectors, track=track_arg, lanes=lanes
             )
             assert packed == scalar
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("n_waves", [1, 16, 70])
-    def test_buf_only_phase_identity(self, backend, track, n_waves):
+    def test_buf_only_phase_identity(self, track, n_waves):
         # regression: a clock phase holding only BUF/FOG components must
         # still gather real wave ids in the tracked kernels (the fused
         # variant once scattered uninitialized memory here, emitting
@@ -154,27 +132,21 @@ class TestBackendMatrix:
         netlist = _buf_only_phase_netlist()
         vectors = _vectors(netlist.n_inputs, n_waves, seed=n_waves)
         scalar = simulate_waves(netlist, vectors, engine="python")
-        packed = simulate_waves_packed(
-            netlist, vectors, backend=backend, track=track
-        )
+        packed = simulate_waves_packed(netlist, vectors, track=track)
         assert packed == scalar
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_streams_identity(self, balanced_netlist, backend):
+    def test_streams_identity(self, balanced_netlist):
         streams = [
             _vectors(balanced_netlist.n_inputs, length, seed=length)
             for length in (5, 0, 31, 12)
         ]
         oracle = simulate_streams(balanced_netlist, streams, engine="python")
-        packed = simulate_streams_packed(
-            balanced_netlist, streams, backend=backend
-        )
+        packed = simulate_streams_packed(balanced_netlist, streams)
         assert packed == oracle
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("pipelined", [True, False])
     def test_phase_counts_and_injection_modes(
-        self, unbalanced_netlist, backend, pipelined
+        self, unbalanced_netlist, pipelined
     ):
         for n_phases in (2, 4):
             clocking = ClockingScheme(n_phases)
@@ -185,19 +157,19 @@ class TestBackendMatrix:
             )
             packed = simulate_waves_packed(
                 unbalanced_netlist, vectors, clocking=clocking,
-                pipelined=pipelined, backend=backend,
+                pipelined=pipelined,
             )
             assert packed == scalar
 
 
 class TestKernelMatrixOnRandomNetlists:
-    """ISSUE-4 satellite: the full kernel matrix on *random* netlists.
+    """The kernel variants on *random* netlists.
 
-    The PR-3 matrix tests sweep hand-picked suite circuits; this class
-    sweeps every (backend x tracking) variant x {balanced, unbalanced}
-    x {1, 3} state words against the scalar oracle on randomly
-    generated netlists, so word-boundary behaviour is pinned on
-    structures nobody curated.
+    :class:`TestTrackingVariants` sweeps hand-picked circuits; this class
+    sweeps both tracking variants x {balanced, unbalanced} x {1, 3}
+    state words against the scalar oracle on randomly generated
+    netlists, so word-boundary behaviour is pinned on structures nobody
+    curated.
     """
 
     N_WAVES = 150
@@ -225,23 +197,21 @@ class TestKernelMatrixOnRandomNetlists:
         scalar = simulate_waves(netlist, vectors, engine="python")
         return netlist, vectors, scalar
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("balanced", [True, False])
     @pytest.mark.parametrize("words", [1, 3])
     @pytest.mark.parametrize("seed", [5, 23])
-    def test_variant_parity(self, backend, balanced, words, seed):
+    def test_variant_parity(self, balanced, words, seed):
         netlist, vectors, scalar = self._case(balanced, seed)
         lanes = self.WORDS_TO_LANES[words]
         assert describe_packed_run(
-            netlist, self.N_WAVES, lanes=lanes, backend=backend
+            netlist, self.N_WAVES, lanes=lanes
         )["words"] == words
         # balanced netlists run the elided (auto) AND tracked variants;
         # unbalanced ones only track (elision is statically unsound
         # there, which TestElisionSafety pins separately)
         for track in ([None, True] if balanced else [None]):
             packed = simulate_waves_packed(
-                netlist, vectors, backend=backend, track=track,
-                lanes=lanes,
+                netlist, vectors, track=track, lanes=lanes
             )
             assert packed == scalar
         if not balanced and seed == 23:
@@ -271,15 +241,12 @@ class TestElisionSafety:
         compiled = compile_netlist(balanced_netlist)
         assert not can_elide_tracking(compiled, compiled.n_phases - 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_demanding_elision_on_unsafe_netlist_raises(
-        self, unbalanced_netlist, backend
+        self, unbalanced_netlist
     ):
         vectors = _vectors(unbalanced_netlist.n_inputs, 8, seed=1)
         with pytest.raises(SimulationError, match="cannot be elided"):
-            simulate_waves_packed(
-                unbalanced_netlist, vectors, backend=backend, track=False
-            )
+            simulate_waves_packed(unbalanced_netlist, vectors, track=False)
 
     @given(
         raw_netlists(),
@@ -307,39 +274,30 @@ class TestElisionSafety:
         )
         assert packed.interference == scalar.interference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_messages_unchanged(self, unbalanced_netlist, backend):
-        # satellite: strict-mode errors match the scalar oracle verbatim
-        # on every backend (and on forced-tracked fused)
+    def test_strict_messages_unchanged(self, unbalanced_netlist):
+        # strict-mode errors match the scalar oracle verbatim
         vectors = _vectors(unbalanced_netlist.n_inputs, 10, seed=1)
         with pytest.raises(SimulationError) as reference:
             simulate_waves(
                 unbalanced_netlist, vectors, strict=True, engine="python"
             )
         with pytest.raises(SimulationError) as packed:
-            simulate_waves_packed(
-                unbalanced_netlist, vectors, strict=True, backend=backend
-            )
+            simulate_waves_packed(unbalanced_netlist, vectors, strict=True)
         assert str(packed.value) == str(reference.value)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_elided_is_silent_on_balanced(
-        self, balanced_netlist, backend
-    ):
+    def test_strict_elided_is_silent_on_balanced(self, balanced_netlist):
         # strict mode on the elided path: no events can exist, so the
         # run completes exactly like the oracle's
         vectors = _vectors(balanced_netlist.n_inputs, 20, seed=2)
         scalar = simulate_waves(
             balanced_netlist, vectors, strict=True, engine="python"
         )
-        packed = simulate_waves_packed(
-            balanced_netlist, vectors, strict=True, backend=backend
-        )
+        packed = simulate_waves_packed(balanced_netlist, vectors, strict=True)
         assert packed == scalar
 
 
 class TestPlanner:
-    """Cost-model shape: monotone, word-capped, backend-calibrated."""
+    """Cost-model shape: monotone, word-capped, variant-calibrated."""
 
     @staticmethod
     def _lanes(n_waves, step_overhead, n_components=664, depth=15,
@@ -366,18 +324,14 @@ class TestPlanner:
             assert lanes % LANES_PER_WORD == 0  # whole words only
 
     def test_cheaper_lanes_plan_wider(self):
-        # elided/JIT kernels move less data per lane, so their larger
-        # calibration constants must never shrink the plan
-        tracked = self._lanes(4096, planner_step_overhead("fused", False))
-        elided = self._lanes(4096, planner_step_overhead("fused", True))
+        # the elided kernels move less data per lane, so their larger
+        # calibration constant must never shrink the plan
+        tracked = self._lanes(4096, planner_step_overhead(False))
+        elided = self._lanes(4096, planner_step_overhead(True))
         assert elided >= tracked
 
-    def test_constants_cover_backend_matrix(self):
-        assert set(PLANNER_STEP_OVERHEAD) == {
-            (backend, elided)
-            for backend in BACKENDS
-            for elided in (False, True)
-        }
+    def test_constants_cover_both_tracking_variants(self):
+        assert set(PLANNER_STEP_OVERHEAD) == {False, True}
         assert all(value > 0 for value in PLANNER_STEP_OVERHEAD.values())
 
     def test_describe_packed_run_reflects_overrides(self, balanced_netlist):
@@ -397,38 +351,3 @@ class TestPlanner:
             balanced_netlist, vectors, lanes=info["lanes"]
         )
         assert default == pinned
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self, balanced_netlist):
-        vectors = _vectors(balanced_netlist.n_inputs, 4, seed=0)
-        with pytest.raises(SimulationError, match="unknown kernel backend"):
-            simulate_waves_packed(
-                balanced_netlist, vectors, backend="verilator"
-            )
-
-    def test_set_default_backend_round_trip(self):
-        original = default_backend()
-        try:
-            set_default_backend("fused")
-            assert default_backend() == "fused"
-            assert resolve_backend(None) == "fused"
-        finally:
-            set_default_backend(None)
-        assert default_backend() == original
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(SimulationError):
-            set_default_backend("cuda")
-
-    def test_env_override(self, monkeypatch):
-        from repro.core.wavepipe.kernels import jit_available
-
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert default_backend() == "fused"
-        # REPRO_JIT=1 is a preference, not a force: without numba the
-        # uncompiled loop nest would be far slower than fused, so the
-        # default falls back rather than silently degrading
-        monkeypatch.setenv("REPRO_JIT", "1")
-        expected = "jit" if jit_available() else "fused"
-        assert default_backend() == expected

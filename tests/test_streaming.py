@@ -6,8 +6,8 @@ and **any** kernel configuration, N chunked ``feed()`` calls through a
 :class:`~repro.core.wavepipe.batch.PackedSession` produce reports
 **bit-identical** to the matching slices of one solo
 :func:`~repro.core.wavepipe.simulate_waves_packed` run over the
-concatenated waves.  The sweep covers {fused, jit} x {tracked, elided}
-x {1-word, 3-word} states, pump/flush interleavings, and the same
+concatenated waves.  The sweep covers {tracked, elided} x {1-word,
+3-word} states, pump/flush interleavings, and the same
 property lifted through :meth:`SimulationServer.open_stream` (thread
 and process shards) and :meth:`SimulationClient.open_stream` (over the
 socket).
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wavepipe import (
-    BACKENDS,
     LANES_PER_WORD,
     MAX_PLANNED_WORDS,
     WaveNetlist,
@@ -52,14 +51,11 @@ from strategies import session_schedules, wave_ready_netlists
 #: Deadlock guard for every blocking wait in this module.
 TIMEOUT_S = 120.0
 
-#: The kernel matrix one schedule is swept across: backend x tracking
-#: x lane width (lanes=16 pins a 1-word state, lanes=160 a 3-word one,
-#: None lets the session grow its own width).
+#: The kernel matrix one schedule is swept across: tracking x lane
+#: width (lanes=16 pins a 1-word state, lanes=160 a 3-word one, None
+#: lets the session grow its own width).
 KERNEL_MATRIX = [
-    (backend, track, lanes)
-    for backend in BACKENDS
-    for track in (None, True)
-    for lanes in (None, 16, 160)
+    (track, lanes) for track in (None, True) for lanes in (None, 16, 160)
 ]
 
 
@@ -118,16 +114,12 @@ def _check_reports(session_sep, schedule, reports, expected):
 class TestPackedSessionDifferential:
     """The engine-level property, swept across the kernel matrix."""
 
-    @pytest.mark.parametrize("backend,track,lanes", KERNEL_MATRIX)
-    def test_chunked_feeds_match_solo_slices(self, backend, track, lanes):
+    @pytest.mark.parametrize("track,lanes", KERNEL_MATRIX)
+    def test_chunked_feeds_match_solo_slices(self, track, lanes):
         netlist = _balanced()
         schedule = [10, 0, 3, 27, 1, 24]
-        waves, solo, expected = _expected_reports(
-            netlist, schedule, seed=3, backend=backend
-        )
-        with open_packed_session(
-            netlist, backend=backend, track=track, lanes=lanes
-        ) as session:
+        waves, solo, expected = _expected_reports(netlist, schedule, seed=3)
+        with open_packed_session(netlist, track=track, lanes=lanes) as session:
             start = 0
             handles = []
             for count in schedule:
@@ -144,13 +136,12 @@ class TestPackedSessionDifferential:
         netlist=wave_ready_netlists(max_gates=25),
         schedule=session_schedules(),
         seed=st.integers(0, 5),
-        backend=st.sampled_from(BACKENDS),
         track=st.sampled_from([None, True]),
         lanes=st.sampled_from([None, 16, 160]),
         pump_mask=st.lists(st.booleans(), min_size=6, max_size=6),
     )
     def test_property_any_schedule_any_kernel(
-        self, netlist, schedule, seed, backend, track, lanes, pump_mask
+        self, netlist, schedule, seed, track, lanes, pump_mask
     ):
         """N chunked feeds == solo slices, for any split-point vector.
 
@@ -160,11 +151,9 @@ class TestPackedSessionDifferential:
         waves appended to the existing lanes.
         """
         waves, solo, expected = _expected_reports(
-            netlist, schedule, seed=seed, backend=backend
+            netlist, schedule, seed=seed
         )
-        with open_packed_session(
-            netlist, backend=backend, track=track, lanes=lanes
-        ) as session:
+        with open_packed_session(netlist, track=track, lanes=lanes) as session:
             start = 0
             handles = []
             for count, pump in zip(schedule, pump_mask):
