@@ -23,7 +23,10 @@ Example
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..errors import MigError
 from .signal import FALSE, TRUE, Signal
@@ -247,6 +250,17 @@ class Mig:
         for node, fanins in enumerate(self._fanins):
             if fanins is not None and fanins != _PI_MARK:
                 yield node
+
+    def gate_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`gates` and their :meth:`fanins` as int64 arrays:
+        ``(gates[n_gates], fanins[n_gates, 3])``."""
+        # None marks the constant and () a PI: both are falsy
+        gates = [node for node, fanins in enumerate(self._fanins) if fanins]
+        rows = [fanins for fanins in self._fanins if fanins]
+        flat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=3 * len(rows)
+        )
+        return np.array(gates, dtype=np.int64), flat.reshape(-1, 3)
 
     def nodes(self) -> Iterator[int]:
         """Iterate over all node indices (constant, PIs, gates)."""

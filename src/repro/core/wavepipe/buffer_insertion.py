@@ -6,27 +6,40 @@ Balances every path of a wave netlist so that
     distance (all parallel paths between them have equal length), and
 (b) the maximum base distance of all netlist outputs is equal.
 
-The algorithm is greedy and per-driver optimal: every driver grows a single
-*shared buffer chain* and each consumer taps the chain at the position
-matching its own level, which is exactly the ``lastBD`` bookkeeping of the
-paper's pseudo-code (the chain is extended by ``m = maxxBD(node) - lastBD``
+The paper's algorithm is greedy and per-driver optimal: every driver grows a
+single *shared buffer chain* and each consumer taps the chain at the
+position matching its own level, which is exactly the ``lastBD`` bookkeeping
+of its pseudo-code (the chain is extended by ``m = maxxBD(node) - lastBD``
 buffers per fan-out member, visited in sorted xBD order).  A second pass pads
 every primary output up to the maximum output base distance.
 
-Because balancing never changes the level of an existing component, both
-passes work off a single level computation: the cached
-:meth:`~repro.core.wavepipe.components.WaveNetlist.levels` and consumer map
-of the input netlist.  Drivers whose consumers all sit one level below them
-need no chain and are skipped with one vectorized test; the chains run over
-a :class:`~repro.core.wavepipe.components.NetlistEdit` written back as
-arrays in one step.
+Every such chain is a plain delay line, as long as its driver's largest
+gap (the ``delays = max_offset - offset`` of a path-balancing delay line),
+so both passes are array fills with no per-driver loop:
 
-When a ``fanout_limit`` is given (the combined FOx+BUF flow), tap positions
-respect the limit: a chain position may serve at most ``limit - 1`` consumers
-when the chain continues past it (one slot feeds the next buffer) and
-``limit`` at the chain end; overflowing positions spawn parallel sibling
-buffers.  Netlists whose raw fan-out already exceeds the limit must run
-fan-out restriction first (:func:`repro.core.wavepipe.fanout.restrict_fanout`).
+1. every driver gets one line of ``L`` buffers, ``L`` its largest consumer
+   gap (consumer level minus driver level minus one).  The lines sit at rows
+   ``n + exclusive_cumsum(L)`` in driver order, and one scatter points every
+   consumer at line position ``gap`` (position 0 is the driver itself),
+   keeping its complement bit;
+2. every output driver's line is extended to the common output level.  The
+   extensions follow all pass-1 rows in output-driver order, and the outputs
+   are retargeted the same way.
+
+Balancing never changes the level of an existing component, so both fills
+read one level computation: the cached
+:meth:`~repro.core.wavepipe.components.WaveNetlist.levels` and consumer map
+of the input netlist.  The constant carries no waves and is never balanced.
+
+Under a ``fanout_limit`` (the combined FOx+BUF flow) a line position that
+the line continues past spends one slot on the next buffer, so it may serve
+at most ``limit - 1`` taps, and the line's end at most ``limit``.
+:func:`_check_feasible` first rejects any component whose consumers and
+outputs together exceed ``limit`` (run
+:func:`repro.core.wavepipe.fanout.restrict_fanout` first).  After it, no tap
+position can overflow: every line ends at one of its driver's taps, so a
+position the line continues past serves at most ``limit - 1`` of them.  A
+line therefore never needs a parallel sibling buffer.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...errors import FanoutError
-from .components import Kind, NetlistEdit, WaveNetlist
+from .components import Kind, WaveNetlist
 
 
 @dataclass
@@ -57,68 +70,22 @@ class BufferInsertionResult:
         return self.buffers_added - self.padding_buffers
 
 
-class _Chain:
-    """A shared buffer chain hanging off one driver.
+def _delay_lines(
+    heads: np.ndarray, lengths: np.ndarray, first_row: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out one delay line per entry, in entry order, from *first_row*.
 
-    ``positions[j]`` holds the literals of the buffers at offset ``j + 1``
-    levels past the driver (parallel siblings when fan-out pressure demands
-    widening).  ``load[lit]`` tracks the fan-out already placed on every
-    carrier literal; *load* is the driver's own to start with.
+    Line ``i`` holds ``lengths[i]`` buffers fed by literal ``heads[i]``.
+    Returns ``(starts, fanins)``: the first row of every line and the
+    fan-in rows of the new buffers.
     """
-
-    def __init__(
-        self, edit: NetlistEdit, driver: int, limit: int | None, load: int = 0
-    ) -> None:
-        self.edit = edit
-        self.driver_lit = driver << 1
-        self.limit = limit
-        self.positions: list[list[int]] = []
-        self.load: dict[int, int] = {self.driver_lit: load}
-        self.buffers = 0
-
-    def _carrier_with_capacity(self, position: int) -> int:
-        """A literal at chain *position* (0 = driver) with a free slot."""
-        carriers = (
-            [self.driver_lit] if position == 0 else self.positions[position - 1]
-        )
-        if self.limit is None:
-            return carriers[0]
-        for lit in carriers:
-            if self.load[lit] < self.limit:
-                return lit
-        # all carriers at this position are full: widen with a sibling buffer
-        if position == 0:
-            raise FanoutError(
-                "driver fan-out exhausted; run fan-out restriction before "
-                "buffer insertion"
-            )
-        sibling = self._spawn(position)
-        return sibling
-
-    def _spawn(self, position: int) -> int:
-        """Create one buffer at 1-based *position* (extend tip or widen)."""
-        source = self._carrier_with_capacity(position - 1)
-        lit = self.edit.add(Kind.BUF, source)
-        self.load[source] += 1
-        self.load[lit] = 0
-        if len(self.positions) < position:
-            self.positions.append([])
-        self.positions[position - 1].append(lit)
-        self.buffers += 1
-        return lit
-
-    def tap(self, position: int) -> int:
-        """Literal delivering the driver's value at chain *position*.
-
-        Position 0 is the driver itself; position j is a buffer j levels
-        later.  Extends the chain one position at a time as required and
-        accounts one unit of load on the returned literal.
-        """
-        while len(self.positions) < position:
-            self._spawn(len(self.positions) + 1)
-        lit = self._carrier_with_capacity(position)
-        self.load[lit] += 1
-        return lit
+    starts = first_row + np.cumsum(lengths) - lengths
+    fanins = np.zeros((int(lengths.sum()), 3), dtype=np.int32)
+    # each buffer reads the one before it, the first of a line its head
+    fanins[:, 0] = (first_row + np.arange(len(fanins)) - 1) << 1
+    fed = lengths > 0
+    fanins[starts[fed] - first_row, 0] = heads[fed]
+    return starts, fanins
 
 
 def insert_buffers(
@@ -142,83 +109,62 @@ def insert_buffers(
         always does; disabling it is exposed for ablation studies).
     """
     consumers = netlist.consumers()
-    level_array = netlist.levels()
+    levels = netlist.levels()
     depth_before = netlist.depth()
     if fanout_limit is not None:
         _check_feasible(netlist, fanout_limit)
+    kinds, fanins, outputs = netlist.arrays()
+    n = len(kinds)
+    drivers = np.arange(n, dtype=np.int64)
 
-    drivers = consumers.driver
-    gaps = level_array[consumers.component] - level_array[drivers] - 1
-    # only drivers with a consumer more than one level on need a chain
-    # (the constant carries no waves and is never balanced)
-    chained = np.unique(drivers[(gaps > 0) & (drivers != 0)])
+    # Pass 1: one line per driver, as long as its largest consumer gap.
+    edge_driver = consumers.driver
+    gaps = levels[consumers.component] - levels[edge_driver] - 1
+    gaps[edge_driver == 0] = 0
+    length = np.zeros(n, dtype=np.int64)
+    np.maximum.at(length, edge_driver, gaps)
+    start, lines = _delay_lines(drivers << 1, length, n)
+    fanins = np.concatenate((fanins, lines))
+    tap = gaps > 0
+    component, position = consumers.component[tap], consumers.position[tap]
+    rows = start[edge_driver[tap]] + gaps[tap] - 1
+    fanins[component, position] = (rows << 1) | (fanins[component, position] & 1)
 
-    levels = level_array.tolist()
-    ptr = consumers.ptr.tolist()
-    components = consumers.component.tolist()
-    positions = consumers.position.tolist()
-    edit = NetlistEdit(netlist)
-    fanins = edit.fanins
-    chains: dict[int, _Chain] = {}
-    buffers_added = 0
-
-    # Pass 1: balance every driver -> consumer edge via shared chains.
-    for driver in chained.tolist():
-        driver_level = levels[driver]
-        # sort fan-out by max xBD (= consumer level - 1), the paper's order
-        edges = sorted(
-            range(ptr[driver], ptr[driver + 1]),
-            key=lambda edge: levels[components[edge]],
+    # Pass 2: extend every output driver's line to the common output level.
+    extension = np.zeros(n, dtype=np.int64)
+    outputs = outputs.copy()
+    if pad_outputs and len(outputs):
+        nodes = outputs >> 1
+        pad = levels[nodes].max() - levels[nodes]
+        pad[nodes == 0] = 0
+        extension[nodes] = np.maximum(pad - length[nodes], 0)
+        ends = np.where(length > 0, (start + length - 1) << 1, drivers << 1)
+        start2, lines = _delay_lines(ends, extension, len(fanins))
+        fanins = np.concatenate((fanins, lines))
+        rows = np.where(
+            pad <= length[nodes],
+            start[nodes] + pad - 1,
+            start2[nodes] + pad - length[nodes] - 1,
         )
-        chain = _Chain(edit, driver, fanout_limit)
-        for edge in edges:
-            component = components[edge]
-            slot = 3 * component + positions[edge]
-            tap_lit = chain.tap(levels[component] - driver_level - 1)
-            fanins[slot] = tap_lit | (fanins[slot] & 1)
-        chains[driver] = chain
-        buffers_added += chain.buffers
+        padded = pad > 0
+        outputs[padded] = (rows[padded] << 1) | (outputs[padded] & 1)
 
-    # Pass 2: pad all outputs to the maximum output base distance.
-    padding = 0
-    outputs = edit.outputs
-    if pad_outputs and outputs:
-        max_bd = max(levels[lit >> 1] for lit in outputs)
-        po_ptr = consumers.po_ptr.tolist()
-        po_index = consumers.po_index.tolist()
-        for driver in np.flatnonzero(np.diff(consumers.po_ptr)).tolist():
-            gap = max_bd - levels[driver]
-            if driver == 0 or gap == 0:
-                continue
-            chain = chains.get(driver)
-            if chain is None:
-                # a driver without a pass-1 chain taps its consumers
-                # straight off its own output
-                chain = _Chain(
-                    edit, driver, fanout_limit, load=ptr[driver + 1] - ptr[driver]
-                )
-                chains[driver] = chain
-            before = chain.buffers
-            for po in po_index[po_ptr[driver]:po_ptr[driver + 1]]:
-                outputs[po] = chain.tap(gap) | (outputs[po] & 1)
-            padding += chain.buffers - before
-            buffers_added += chain.buffers - before
-
-    result = edit.finish()
+    kinds = np.concatenate((kinds, np.full(len(fanins) - n, Kind.BUF, np.int8)))
+    result = netlist.derive(kinds, fanins, outputs)
     # drivers with consumers first, then output-only drivers, each in
     # index order: the order the chains of a full pass 1 would take
-    lengths = sorted(
-        (ptr[driver + 1] == ptr[driver], driver, chain.buffers)
-        for driver, chain in chains.items()
-        if chain.buffers
-    )
+    chains = length + extension
+    chained = np.flatnonzero(chains)
+    fed = np.diff(consumers.ptr)[chained] > 0
+    chained = np.concatenate((chained[fed], chained[~fed]))
+    padding = int(extension.sum())
     return BufferInsertionResult(
         netlist=result,
-        buffers_added=buffers_added,
+        buffers_added=int(length.sum()) + padding,
         padding_buffers=padding,
         depth_before=depth_before,
         depth_after=result.depth(),
-        chain_lengths={driver: length for _, driver, length in lengths},
+        chain_lengths=dict(zip(chained.tolist(), chains[chained].tolist())),
     )
 
 

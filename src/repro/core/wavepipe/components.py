@@ -34,11 +34,12 @@ arrays: :meth:`levels` runs Kahn's algorithm as frontier passes over the
 CSR :meth:`consumers` map, and both are cached read-only per
 :attr:`version` (the map only once asked for); sizes, the census and fan-out counts are ``bincount``\\ s.
 The scalar accessors (:meth:`kind`, :meth:`fanins`, :attr:`outputs`) return
-Python ints for the scalar oracle and the writers.  The sequential
-transforms edit a :class:`NetlistEdit` — plain Python lists taken from the
-arrays once — and write it back as arrays in one step, so even the
-10^5-component netlists of the paper's larger benchmarks (e.g. DIFFEQ1's
-306 937 components) stay cheap.
+Python ints for the scalar oracle and the writers.  Fan-out restriction,
+which is sequential, edits a :class:`NetlistEdit` — plain Python lists taken
+from the arrays once — and writes it back as arrays in one step; buffer
+insertion builds its result arrays directly.  Both hand them to
+:meth:`derive`, so even the 10^5-component netlists of the paper's larger
+benchmarks (e.g. DIFFEQ1's 306 937 components) stay cheap.
 """
 
 from __future__ import annotations
@@ -129,6 +130,15 @@ def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
     return ptr, order
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort, which for the few thousand
+    values of a Kahn frontier is several times faster than its hashing."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _gather_ranges(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -414,7 +424,7 @@ class WaveNetlist:
             levels[frontier] = level
             targets = consumers.component[_gather_ranges(consumers.ptr, frontier)]
             np.subtract.at(remaining, targets, 1)
-            frontier = np.unique(targets[remaining[targets] == 0])
+            frontier = _sorted_unique(targets[remaining[targets] == 0])
             level += 1
         if np.any(levels < 0):
             raise NetlistError("netlist contains a combinational cycle")
@@ -533,6 +543,15 @@ class WaveNetlist:
         state["_cache_version"] = -1
         return state
 
+    def derive(
+        self, kinds: np.ndarray, fanins: np.ndarray, outputs: np.ndarray
+    ) -> "WaveNetlist":
+        """A new netlist with this one's name and interface over the given
+        arrays (copied), one revision past this one: a transform's result."""
+        netlist = self._with_interface(self._version + 1)
+        netlist._set_arrays(kinds, fanins, outputs)
+        return netlist
+
     def _with_interface(self, version: int) -> "WaveNetlist":
         """An empty netlist carrying this one's name, inputs and names."""
         other = WaveNetlist(self.name)
@@ -613,12 +632,12 @@ class WaveNetlist:
 
 
 class NetlistEdit:
-    """Python-list working copy of a netlist for the sequential transforms.
+    """Python-list working copy of a netlist for fan-out restriction.
 
     The arrays are read out once: ``kinds`` per component, ``fanins`` flat
     (component ``c``'s fan-in ``j`` at ``3 * c + j``) and ``outputs``.
-    The transforms rewire entries and :meth:`add` components, then
-    :meth:`finish` writes everything back as arrays in one step.
+    The transform rewires entries and appends components with :meth:`add`,
+    then :meth:`finish` writes everything back as arrays in one step.
     """
 
     __slots__ = ("source", "kinds", "fanins", "outputs")
@@ -639,10 +658,8 @@ class NetlistEdit:
 
     def finish(self) -> WaveNetlist:
         """The edited netlist (the source netlist is left untouched)."""
-        netlist = self.source._with_interface(self.source.version + 1)
-        netlist._set_arrays(
+        return self.source.derive(
             np.array(self.kinds, dtype=np.int8),
             np.array(self.fanins, dtype=np.int32),
             np.array(self.outputs, dtype=np.int64),
         )
-        return netlist

@@ -48,7 +48,6 @@ from typing import Sequence
 import numpy as np
 
 from ...errors import FanoutError
-from .buffer_insertion import _Chain
 from .components import ARITY, Kind, NetlistEdit, WaveNetlist
 
 #: Effective slack of a primary-output reference (reads are padded later).
@@ -282,30 +281,37 @@ def _serve_driver(
 def _build_gap_chains(
     state: _Pass, gap_groups: dict[int, list[tuple[int, tuple[int, int]]]]
 ) -> int:
-    """Serve every (carrier -> consumer) gap through shared buffer chains.
+    """Serve every (carrier -> consumer) gap through one delay line per
+    carrier, each consumer tapping the line ``gap`` levels past it.
 
-    Each group's consumers hold one drive slot of the carrier, so the chain
-    may load the carrier with at most ``len(group)`` edges; the shared
-    chain machinery of Algorithm 1 handles per-position tap capacity.
+    The group's consumers hold one drive slot of the carrier each and every
+    gap is at least 1, so the line's first buffer takes one of those slots.
+    A line position that the line continues past feeds the next buffer and
+    serves at most ``len(group) - 1`` consumers, and the line's end at most
+    ``len(group)``: no position exceeds the carrier's ``limit``.
     """
-    edit = state.edit
-    fanins = edit.fanins
+    fanins = state.edit.fanins
     levels = state.levels
     buffers = 0
     for carrier_lit, group in gap_groups.items():
-        before = len(edit.kinds)
-        chain = _Chain(edit, carrier_lit >> 1, state.limit)
-        # the carrier's unassigned capacity belongs to other slots
-        chain.load[chain.driver_lit] = state.limit - len(group)
-        group.sort(key=lambda job: job[0])
+        length = max(gap for gap, _ in group)
+        line = _delay_line(state.edit, carrier_lit, length)
         for gap, (component, position) in group:
             index = 3 * component + position
-            fanins[index] = chain.tap(gap) | (fanins[index] & 1)
-        for index in range(before, len(edit.kinds)):
-            # chain buffers reference lower-indexed sources by construction
-            levels.append(levels[fanins[3 * index] >> 1] + 1)
-        buffers += chain.buffers
+            fanins[index] = line[gap] | (fanins[index] & 1)
+        level = levels[carrier_lit >> 1]
+        levels.extend(range(level + 1, level + 1 + length))
+        buffers += length
     return buffers
+
+
+def _delay_line(edit: NetlistEdit, source: int, length: int) -> list[int]:
+    """Append a line of *length* BUFs fed by literal *source*; returns the
+    literal at every line position (position 0 is *source* itself)."""
+    line = [source]
+    for _ in range(length):
+        line.append(edit.add(Kind.BUF, line[-1]))
+    return line
 
 
 def _plan_tree(

@@ -159,6 +159,90 @@ class TestFanoutAwareness:
         assert check_balanced(result.netlist) == []
 
 
+def _fresh_at(netlist: WaveNetlist, level: int) -> int:
+    """A MAJ at *level* fed by fresh inputs (each drives one consumer)."""
+    node = netlist.add_maj(*(netlist.add_input() for _ in range(3)))
+    for _ in range(level - 1):
+        node = netlist.add_maj(node, netlist.add_input(), netlist.add_input())
+    return node
+
+
+def _largest_gaps(netlist: WaveNetlist) -> int:
+    """Sum over drivers of the largest consumer gap (the constant aside)."""
+    levels = netlist.levels().tolist()
+    consumers, _ = netlist.consumer_map()
+    return sum(
+        max(
+            (levels[component] - levels[driver] - 1 for component, _ in edges),
+            default=0,
+        )
+        for driver, edges in enumerate(consumers)
+        if driver
+    )
+
+
+class TestSlotCapacity:
+    """A driver's consumers and outputs fit its ``limit`` slots, so a line
+    position the line continues past carries at most ``limit - 1`` taps."""
+
+    def _check(self, netlist: WaveNetlist):
+        assert check_fanout(netlist, 3) == []
+        result = insert_buffers(netlist, fanout_limit=3)
+        assert check_fanout(result.netlist, 3) == []
+        assert check_balanced(result.netlist) == []
+        assert result.balancing_buffers == _largest_gaps(netlist)
+        assert_equivalent(result.netlist.to_mig(), netlist.to_mig())
+        return result
+
+    def test_consumers_at_gaps_0_2_2(self):
+        netlist = WaveNetlist("gaps-0-2-2")
+        x = netlist.add_input("x")
+        near = netlist.add_maj(x, netlist.add_input(), netlist.add_input())
+        far = [
+            netlist.add_maj(x, _fresh_at(netlist, 2), netlist.add_input())
+            for _ in range(2)
+        ]
+        netlist.add_output(netlist.add_maj(near, *far))
+        assert netlist.fanout_counts()[x >> 1] == 3
+        result = self._check(netlist)
+        fanins = result.netlist.fanins
+        # x keeps the near consumer and feeds its 2-buffer line; both far
+        # consumers share the line's end
+        assert fanins(near >> 1)[0] == x
+        tip = {fanins(node >> 1)[0] for node in far}
+        assert len(tip) == 1
+        (tip_lit,) = tip
+        assert result.netlist.kind(tip_lit >> 1) == Kind.BUF
+        middle = result.netlist.fanins(tip_lit >> 1)[0]
+        assert result.netlist.fanins(middle >> 1) == (x,)
+        assert result.chain_lengths[x >> 1] == 2
+
+    def test_consumers_at_gaps_1_1_with_padded_output(self):
+        netlist = WaveNetlist("gaps-1-1-output")
+        y = netlist.add_input("y")
+        taps = [
+            netlist.add_maj(y, _fresh_at(netlist, 1), netlist.add_input())
+            for _ in range(2)
+        ]
+        top = netlist.add_maj(*taps, _fresh_at(netlist, 2))
+        deep = netlist.add_maj(top, netlist.add_input(), netlist.add_input())
+        netlist.add_output(deep)
+        netlist.add_output(~y, "shallow")
+        assert netlist.fanout_counts()[y >> 1] == 3
+        result = self._check(netlist)
+        # the line's first buffer serves both taps and the padding that
+        # continues past them: all three of its slots
+        first = {result.netlist.fanins(node >> 1)[0] for node in taps}
+        assert len(first) == 1
+        (first_lit,) = first
+        assert result.netlist.fanins(first_lit >> 1) == (y,)
+        assert result.netlist.fanout_counts()[first_lit >> 1] == 3
+        shallow = int(result.netlist.outputs[1])
+        assert shallow & 1  # the complement stays on the output
+        assert result.netlist.levels()[shallow >> 1] == result.depth_after
+        assert result.chain_lengths[y >> 1] == result.depth_after
+
+
 class TestChainLengths:
     def test_chain_lengths_reported(self):
         result = insert_buffers(_skewed_netlist())

@@ -90,6 +90,13 @@ class TestLevels:
         levels = netlist.levels()
         assert levels[m.node] == 2
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000])
+    def test_frontier_dedupe_matches_np_unique(self, size):
+        from repro.core.wavepipe.components import _sorted_unique
+
+        values = np.random.default_rng(size).integers(0, 50, size)
+        np.testing.assert_array_equal(_sorted_unique(values), np.unique(values))
+
     def test_cycle_detected(self, small):
         netlist, _, m = small
         buf = netlist.add_buf(m)

@@ -1,7 +1,12 @@
 """Integration tests for the experiment modules on a tiny suite."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.core.wavepipe import WaveNetlist, wave_pipeline
+from repro.core.wavepipe import flow as wavepipe_flow
 from repro.errors import ReproError
 from repro.experiments import (
     SuiteRunner,
@@ -138,6 +143,70 @@ class TestRunner:
         result = runner.run(runner.names[0], "FO3+BUF")
         assert check_balanced(result.netlist) == []
         assert check_fanout(result.netlist, 3) == []
+
+
+CONFIGS = (
+    "BUF", "FO2", "FO3", "FO4", "FO5",
+    "FO2+BUF", "FO3+BUF", "FO4+BUF", "FO5+BUF",
+)
+
+
+def _assert_same_arrays(got: WaveNetlist, want: WaveNetlist) -> None:
+    for a, b in zip(got.arrays(), want.arrays()):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def _assert_same_result(got, want) -> None:
+    """Every field of two transform results, netlists by their arrays."""
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, WaveNetlist):
+            _assert_same_arrays(a, b)
+        elif isinstance(b, dict):
+            assert list(a.items()) == list(b.items()), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestSharedRestriction:
+    @pytest.mark.parametrize("name", ["ctrl", "i2c"])
+    def test_configs_match_fresh_flow_with_one_restriction_per_limit(
+        self, name, monkeypatch
+    ):
+        local = SuiteRunner(tuple(s for s in SUITE if s.name == name))
+        mig = local.mig(name)
+        fresh = {}
+        for config in CONFIGS:
+            limit, balance = parse_config(config)
+            fresh[config] = wave_pipeline(
+                mig, fanout_limit=limit, balance=balance, verify=False
+            )
+        calls = []
+        restrict = wavepipe_flow.restrict_fanout
+
+        def counting(netlist, limit):
+            calls.append(limit)
+            return restrict(netlist, limit)
+
+        monkeypatch.setattr(wavepipe_flow, "restrict_fanout", counting)
+        # FOk+BUF first, so it is the one that triggers the FOk run
+        for config in reversed(CONFIGS):
+            got, want = local.run(name, config), fresh[config]
+            _assert_same_arrays(got.original, want.original)
+            _assert_same_arrays(got.netlist, want.netlist)
+            assert got.fanout_limit == want.fanout_limit
+            _assert_same_result(got.fanout_result, want.fanout_result)
+            _assert_same_result(got.buffer_result, want.buffer_result)
+        assert sorted(calls) == [2, 3, 4, 5]
+        for k in (2, 3, 4, 5):
+            assert (
+                local.run(name, f"FO{k}+BUF").fanout_result
+                is local.run(name, f"FO{k}").fanout_result
+            )
 
 
 class TestTable1:

@@ -1,5 +1,6 @@
 """Unit tests for the Mig data structure."""
 
+import numpy as np
 import pytest
 
 from repro.core.mig import Mig, maj3
@@ -198,6 +199,20 @@ class TestCompositeOperators:
 
 
 class TestWholeGraphOperations:
+    def test_gate_arrays_match_gates_and_fanins(self):
+        mig = Mig()
+        a, b, c = mig.add_pis(3)
+        first = mig.add_maj(a, ~b, c)
+        mig.add_pi("late")
+        mig.add_maj(first, a, ~c)
+        gates, fanins = mig.gate_arrays()
+        assert gates.dtype == fanins.dtype == np.int64
+        assert gates.tolist() == list(mig.gates())
+        assert [tuple(row) for row in fanins.tolist()] == [
+            mig.fanins(gate) for gate in mig.gates()
+        ]
+        assert Mig().gate_arrays()[1].shape == (0, 3)
+
     def test_clone_independent(self, simple):
         mig, _, _ = simple
         copy = mig.clone()

@@ -1,18 +1,24 @@
 """Unit tests for the wave-pipelining invariant checkers."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.core.wavepipe import WaveNetlist
+from repro.core.mig import Mig
+from repro.core.wavepipe import Kind, WaveNetlist, wave_pipeline
 from repro.core.wavepipe.verify import (
     assert_balanced,
     assert_fanout,
+    certify_equivalent,
     check_balanced,
     check_equivalent_to_mig,
     check_fanout,
+    simulate_equivalent,
     wave_ready,
 )
-from repro.errors import BalanceError, FanoutError
+from repro.errors import BalanceError, FanoutError, NetlistError
+from repro.suite import get_benchmark
 
 from helpers import build_adder_mig
 
@@ -148,3 +154,119 @@ class TestNetlistSimulation:
         out = simulate_netlist_words(netlist, words)
         ones = np.uint64(0xFFFFFFFFFFFFFFFF)
         assert out.tolist() == [[0], [int(ones)], [int(ones ^ np.uint64(0b1010))]]
+
+
+@lru_cache(maxsize=None)
+def _flow(name: str) -> tuple[Mig, WaveNetlist]:
+    mig = get_benchmark(name).build()
+    return mig, wave_pipeline(mig, fanout_limit=3, verify=False).netlist
+
+
+def _root_node(netlist: WaveNetlist, node: int) -> int:
+    """The constant, input or MAJ at the start of *node*'s BUF/FOG chain."""
+    while netlist.kind(node) in (Kind.BUF, Kind.FOG):
+        node = netlist.fanins(node)[0] >> 1
+    return node
+
+
+def _output_maj(netlist: WaveNetlist) -> int:
+    """The MAJ behind output 0."""
+    node = _root_node(netlist, int(netlist.outputs[0]) >> 1)
+    assert netlist.kind(node) == Kind.MAJ
+    return node
+
+
+def _flip_complement(netlist: WaveNetlist) -> WaveNetlist:
+    mutant = netlist.clone()
+    node = _output_maj(mutant)
+    mutant.set_fanin(node, 0, mutant.fanins(node)[0] ^ 1)
+    return mutant
+
+
+def _move_fanin(netlist: WaveNetlist) -> WaveNetlist:
+    """Move one fan-in of the MAJ behind output 0 onto a buffer of another
+    driver at the same level: still acyclic (the buffer sits below the
+    MAJ) and balanced (the MAJ sees the same level)."""
+    mutant = netlist.clone()
+    node = _output_maj(mutant)
+    levels = mutant.levels()
+    kinds = mutant.arrays().kinds
+    for position, lit in enumerate(mutant.fanins(node)):
+        if lit >> 1 == 0:
+            continue
+        old_root = _root_node(mutant, lit >> 1)
+        for candidate in np.flatnonzero(
+            (kinds == Kind.BUF) & (levels == levels[lit >> 1])
+        ).tolist():
+            if _root_node(mutant, candidate) != old_root:
+                mutant.set_fanin(node, position, (candidate << 1) | (lit & 1))
+                return mutant
+    raise AssertionError("no buffer of another driver at the same level")
+
+
+def _complement_output(netlist: WaveNetlist) -> WaveNetlist:
+    mutant = netlist.clone()
+    mutant.set_output(0, int(mutant.outputs[0]) ^ 1)
+    return mutant
+
+
+class TestStructuralCertificate:
+    """The certificate proves flow results equal, fails on anything else,
+    and a failed certificate leaves the verdict to simulation."""
+
+    @pytest.mark.parametrize("name", ["ctrl", "i2c", "mul32"])
+    def test_flow_result_certified(self, name):
+        mig, netlist = _flow(name)
+        assert certify_equivalent(netlist, mig)
+        assert check_equivalent_to_mig(netlist, mig)
+
+    @pytest.mark.parametrize("name", ["ctrl", "i2c", "mul32"])
+    @pytest.mark.parametrize(
+        "mutate", [_flip_complement, _move_fanin, _complement_output]
+    )
+    def test_mutation_fails_certificate_and_is_rejected(self, name, mutate):
+        mig, netlist = _flow(name)
+        mutant = mutate(netlist)
+        assert check_balanced(mutant) == []
+        assert not certify_equivalent(mutant, mig)
+        assert check_equivalent_to_mig(mutant, mig) is False
+        assert simulate_equivalent(mutant, mig) is False
+
+    def test_equivalent_non_flow_netlist_falls_back(self, adder_mig):
+        # a dangling MAJ row past the gate rows is no flow result, but the
+        # function is unchanged: simulation accepts it
+        netlist = WaveNetlist.from_mig(adder_mig)
+        assert certify_equivalent(netlist, adder_mig)
+        a, b, c = netlist.inputs[:3]
+        netlist.add_maj(a << 1, b << 1, c << 1)
+        assert not certify_equivalent(netlist, adder_mig)
+        assert check_equivalent_to_mig(netlist, adder_mig)
+
+    def test_input_after_gate_falls_back(self):
+        # the same function, with the last input row after the gate row
+        mig = Mig()
+        a, b, c = mig.add_pis(3)
+        mig.add_po(mig.add_maj(a, b, 0))
+        mig.add_po(c)
+        netlist = WaveNetlist()
+        x, y = netlist.add_input(), netlist.add_input()
+        gate = netlist.add_maj(x, y, 0)
+        netlist.add_output(gate)
+        netlist.add_output(netlist.add_input())
+        assert netlist.inputs == [1, 2, 4]
+        assert not certify_equivalent(netlist, mig)
+        assert check_equivalent_to_mig(netlist, mig)
+
+    def test_buf_cycle_raises(self):
+        mig = Mig()
+        mig.add_po(mig.add_pi())
+        netlist = WaveNetlist()
+        a = netlist.add_input()
+        first = netlist.add_buf(a)
+        second = netlist.add_buf(first)
+        netlist.set_fanin(first >> 1, 0, second)
+        netlist.add_output(second)
+        with pytest.raises(NetlistError):
+            certify_equivalent(netlist, mig)
+        with pytest.raises(NetlistError):
+            check_equivalent_to_mig(netlist, mig)
