@@ -111,12 +111,13 @@ def bench_engine_case(
         session.close()
         done += session.take_done()
         stream_s = time.perf_counter() - started
-        outputs = [
-            wave
-            for handle in sorted(done, key=lambda entry: entry.index)
-            for wave in handle.report.outputs
-        ]
-        identical = identical and outputs == solo.outputs
+        outputs = numpy.concatenate(
+            [
+                handle.report.bits
+                for handle in sorted(done, key=lambda entry: entry.index)
+            ]
+        )
+        identical = identical and numpy.array_equal(outputs, solo.bits)
         if best_solo_s is None or solo_s < best_solo_s:
             best_solo_s = solo_s
         if best_stream_s is None or stream_s < best_stream_s:
@@ -175,7 +176,7 @@ def bench_serving_case(
     solo_rate = total_waves / solo_seconds
     slices = [
         [
-            solo[session].outputs[
+            solo[session].bits[
                 feed * waves_per_feed:(feed + 1) * waves_per_feed
             ]
             for feed in range(n_feeds)
@@ -196,7 +197,9 @@ def bench_serving_case(
                     report = load.reports[session][feed]
                     identical = identical and (
                         report is not None
-                        and report.outputs == slices[session][feed]
+                        and numpy.array_equal(
+                            report.bits, slices[session][feed]
+                        )
                     )
             if best is None or load.waves_per_s > best.waves_per_s:
                 best = load

@@ -84,6 +84,8 @@ Run with::
 import asyncio
 import time
 
+import numpy as np
+
 from repro.core.wavepipe import (
     WaveNetlist,
     random_vectors,
@@ -415,18 +417,18 @@ def main() -> None:
     with SimulationServer(shards=1) as server:
         with server.open_stream(adder) as stream:
             streamed = [stream.feed(chunk) for chunk in chunks]
-            outputs = [
-                wave
-                for future in streamed
-                for wave in future.result().outputs
-            ]
+            # each feed's report holds a (waves, n_outputs) bool array:
+            # stacked, they are the solo run's, shape and every bit
+            outputs = np.concatenate(
+                [future.result().bits for future in streamed]
+            )
             session_stats = stream.metrics()
-        assert outputs == solo.outputs
+        assert np.array_equal(outputs, solo.bits)
         print(
             f"\nstreaming   : {session_stats['feeds']} feeds / "
             f"{session_stats['waves']} waves through one warm plan, "
             f"outputs bit-identical to one solo run: "
-            f"{outputs == solo.outputs}"
+            f"{np.array_equal(outputs, solo.bits)}"
         )
         # the same session state is checkpointable: a worker crash
         # replays the feed log from the last checkpoint (stream
@@ -449,15 +451,14 @@ def main() -> None:
             with SimulationClient(host, port) as client:
                 with client.open_stream(adder) as stream:
                     wired = [stream.feed(chunk) for chunk in chunks]
-                    outputs = [
-                        wave
-                        for future in wired
-                        for wave in future.result().outputs
-                    ]
-                assert outputs == solo.outputs
+                    outputs = np.concatenate(
+                        [future.result().bits for future in wired]
+                    )
+                assert np.array_equal(outputs, solo.bits)
                 print(
                     "streaming   : same session over the socket, "
-                    f"still bit-identical: {outputs == solo.outputs}"
+                    "still bit-identical: "
+                    f"{np.array_equal(outputs, solo.bits)}"
                 )
 
 

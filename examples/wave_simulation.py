@@ -26,6 +26,8 @@ Simulates a 4x4 array multiplier under the three-phase regeneration clock:
 import random
 import time
 
+import numpy as np
+
 from repro.core.wavepipe import (
     WaveNetlist,
     describe_packed_run,
@@ -75,7 +77,9 @@ def main() -> None:
     for (a, b), outputs, reference in zip(operands, report.outputs, golden):
         status = "ok" if outputs == reference else "MISMATCH"
         print(f"  {a:2d} x {b:2d} = {to_int(outputs):3d}  [{status}]")
-    assert report.coherent and report.outputs == golden
+    # report.bits is the (waves, n_outputs) bool array: equal in shape
+    # and in every bit to the functional model's rows
+    assert report.coherent and np.array_equal(report.bits, golden)
 
     sequential = simulate_waves(ready, vectors, pipelined=False)
     print(
@@ -89,7 +93,7 @@ def main() -> None:
     print(
         f"\nunbalanced netlist, pipelined injection: "
         f"{len(naive.interference)} interference events, outputs "
-        f"{'correct' if naive.outputs == golden_outputs(raw, vectors) else 'CORRUPTED'}"
+        f"{'correct' if np.array_equal(naive.bits, golden_outputs(raw, vectors)) else 'CORRUPTED'}"
     )
     first = naive.interference[0]
     print(

@@ -547,6 +547,15 @@ def _check_engines_identical(results, timings, out) -> None:
         raise ReproError("packed engine diverged from the scalar oracle")
 
 
+def _same_bits(report, rows: list, n_outputs: int) -> bool:
+    """True when *report*'s ``(waves, n_outputs)`` bit matrix equals the
+    functional model's *rows* in shape and in every bit."""
+    import numpy as np
+
+    expected = np.array(rows, dtype=bool).reshape(len(rows), n_outputs)
+    return bool(np.array_equal(report.bits, expected))
+
+
 def _run_simulate(args: argparse.Namespace, out) -> int:
     from .core.simulate import simulate_vectors
     from .core.wavepipe import (
@@ -617,7 +626,10 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
             out,
         )
         matches = all(
-            report.outputs == simulate_vectors(reference_mig, stream)
+            _same_bits(
+                report, simulate_vectors(reference_mig, stream),
+                reference_mig.n_pos,
+            )
             for report, stream in zip(batches[engines[0]], streams)
         )
         _check_golden(matches, args.raw, out)
@@ -646,8 +658,10 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
         describe,
         out,
     )
-    matches = (
-        reports[engines[0]].outputs == simulate_vectors(reference_mig, vectors)
+    matches = _same_bits(
+        reports[engines[0]],
+        simulate_vectors(reference_mig, vectors),
+        reference_mig.n_pos,
     )
     _check_golden(matches, args.raw, out)
     _check_engines_identical(reports, timings, out)
@@ -1000,7 +1014,7 @@ def _run_streaming_bench(args: argparse.Namespace, out) -> int:
     # slice the solo outputs at the feed boundaries once
     slices = [
         [
-            solo[session].outputs[feed * args.waves:(feed + 1) * args.waves]
+            solo[session].bits[feed * args.waves:(feed + 1) * args.waves]
             for feed in range(feeds)
         ]
         for session in range(sessions)
@@ -1038,8 +1052,8 @@ def _run_streaming_bench(args: argparse.Namespace, out) -> int:
                             plan is not None or args.deadline is not None
                         )
                         continue
-                    identical = identical and (
-                        report.outputs == slices[session][feed]
+                    identical = identical and bool(
+                        np.array_equal(report.bits, slices[session][feed])
                     )
             if load is None or trial.waves_per_s > load.waves_per_s:
                 load = trial

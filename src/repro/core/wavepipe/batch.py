@@ -398,14 +398,14 @@ def _vector_bits(
     return bits
 
 
-def _unpack_outputs(
-    ret_words: np.ndarray, plan: _LanePlan
-) -> list[list[bool]]:
+def _unpack_outputs(ret_words: np.ndarray, plan: _LanePlan) -> np.ndarray:
     """Bit-extract every kept (lane, slot) retirement in one pass.
 
     Lanes are ordered by stream and chunk start, so the kept pairs
     enumerate the global wave sequence exactly in order — row *k* of the
-    extracted bit matrix IS wave *k*'s output vector.
+    returned read-only ``(waves, n_outputs)`` bool matrix IS wave *k*'s
+    output vector.  No Python object is built per wave: each stream's
+    report holds its own row slice of this one matrix.
     """
     # every owned slot must have been snapshotted by the kernel; a plan
     # whose local timeline is too short to retire its deepest slot is a
@@ -424,7 +424,9 @@ def _unpack_outputs(
     word_of = lane_of // LANES_PER_WORD
     bit_of = (lane_of % LANES_PER_WORD).astype(_WORD)
     bits = (ret_words[slot_of, :, word_of] >> bit_of[:, None]) & _WORD(1)
-    return bits.astype(bool).tolist()
+    matrix = bits.astype(bool)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _interference_error(event: WaveInterference) -> SimulationError:
@@ -556,7 +558,7 @@ def _packed_reports(
     ]
     for index, vectors in enumerate(streams):
         if len(vectors) == 0:
-            reports[index] = _empty_report(depth)
+            reports[index] = _empty_report(depth, netlist.n_outputs)
     if not live:
         return reports  # type: ignore[return-value]  # every stream empty
 
@@ -590,7 +592,7 @@ def _packed_reports(
         hi = lo + int(plan.stream_waves[position])
         n_waves = hi - lo
         reports[index] = WaveSimulationReport(
-            outputs=results[lo:hi],
+            bits=results[lo:hi],
             latency_steps=depth,
             steps_run=int(plan.stream_steps[position]),
             waves_injected=n_waves,
@@ -813,14 +815,20 @@ class PackedSession:
         self._state: Optional[SessionState] = None
         self._pending: list[np.ndarray] = []
         self._pending_waves = 0
-        self._feeds: list[SessionFeed] = []
-        self._outputs: list[Optional[list[bool]]] = []
+        #: feeds whose report is not built yet, in feed order, and built
+        #: ones take_done() has not handed out: a feed the caller took
+        #: is no longer referenced here, so neither is its report
+        self._unresolved: "deque[SessionFeed]" = deque()
+        self._done: list[SessionFeed] = []
+        self._n_feeds = 0
+        #: retired output rows of waves [_out_base, _n_fed): one growable
+        #: bool matrix; rows of resolved feeds are dropped on regrowth
+        self._out = np.zeros((0, netlist.n_outputs), dtype=bool)
+        self._out_base = 0
         self._slots: "deque[_SlotRecord]" = deque()
         self._n_fed = 0
         self._n_injected = 0
         self._n_retired = 0
-        self._resolved_upto = 0  # feeds [0, here) have reports
-        self._next_done = 0  # take_done() cursor into resolved feeds
         self._closed = False
 
     # -- public surface ------------------------------------------------
@@ -846,8 +854,9 @@ class PackedSession:
         if self._validate:
             _validate_vectors(self._netlist, vectors)
         count = len(vectors)
-        handle = SessionFeed(self, len(self._feeds), self._n_fed, count)
-        self._feeds.append(handle)
+        handle = SessionFeed(self, self._n_feeds, self._n_fed, count)
+        self._n_feeds += 1
+        self._unresolved.append(handle)
         self._n_fed += count
         if count:
             bits = np.asarray(vectors, dtype=bool).reshape(
@@ -855,7 +864,7 @@ class PackedSession:
             )
             self._pending.append(bits)
             self._pending_waves += count
-            self._outputs.extend([None] * count)
+            self._reserve_rows()
         self._resolve_ready()
         return handle
 
@@ -889,9 +898,8 @@ class PackedSession:
 
     def take_done(self) -> list[SessionFeed]:
         """Feeds newly resolved since the last call, in feed order."""
-        done = self._feeds[self._next_done:self._resolved_upto]
-        self._next_done = self._resolved_upto
-        return list(done)
+        done, self._done = self._done, []
+        return done
 
     def close(self) -> None:
         """Drain the session and refuse further feeds (idempotent)."""
@@ -926,7 +934,7 @@ class PackedSession:
             "lanes": self._state.n_lanes if self._state else 0,
             "words": self._state.n_words if self._state else 0,
             "step": self._state.step if self._state else 0,
-            "feeds": len(self._feeds),
+            "feeds": self._n_feeds,
             "waves_fed": self._n_fed,
             "waves_retired": self._n_retired,
             "pending_waves": self._pending_waves,
@@ -1030,26 +1038,52 @@ class PackedSession:
             word_of = lanes // LANES_PER_WORD
             bit_of = (lanes % LANES_PER_WORD).astype(_WORD)
             row = ret_words[i]  # (n_outputs, n_words)
-            vals = (
+            lo = rec.first_wave - self._out_base
+            self._out[lo:lo + rec.count] = (
                 (row.T[word_of] >> bit_of[:, None]) & _WORD(1)
-            ).astype(bool)
-            out_lists = vals.tolist()
-            for k in range(rec.count):
-                self._outputs[rec.first_wave + k] = out_lists[k]
+            )
             self._n_retired += rec.count
         self._resolve_ready()
+
+    def _reserve_rows(self) -> None:
+        """Make room in the output matrix for every wave fed so far.
+
+        Rows of feeds that already resolved are dead (each report holds
+        a copy), so the live tail moves to the front before the matrix
+        grows; growth doubles, so a session's feeds cost amortized O(1)
+        row moves per wave and its memory follows the unresolved waves,
+        not the session's length.
+        """
+        need = self._n_fed - self._out_base
+        if need <= self._out.shape[0]:
+            return
+        live_from = (
+            self._unresolved[0].start if self._unresolved else self._n_fed
+        )
+        live = self._out[live_from - self._out_base:need]
+        need -= live_from - self._out_base
+        self._out_base = live_from
+        if need > self._out.shape[0]:
+            grown = np.zeros(
+                (max(need, 2 * self._out.shape[0]), self._out.shape[1]),
+                dtype=bool,
+            )
+            grown[:len(live)] = live
+            self._out = grown
+        else:
+            self._out[:len(live)] = live  # numpy copies overlapping rows safely
 
     def _resolve_ready(self) -> None:
         depth = self._compiled.depth
         sep = self._separation
-        while self._resolved_upto < len(self._feeds):
-            feed = self._feeds[self._resolved_upto]
+        while self._unresolved:
+            feed = self._unresolved[0]
             if feed.count == 0:
-                feed._report = _empty_report(depth)
+                feed._report = _empty_report(depth, self._out.shape[1])
             elif feed.start + feed.count <= self._n_retired:
-                outputs = self._outputs[feed.start:feed.start + feed.count]
+                lo = feed.start - self._out_base
                 feed._report = WaveSimulationReport(
-                    outputs=outputs,  # type: ignore[arg-type]
+                    bits=self._out[lo:lo + feed.count].copy(),
                     latency_steps=depth,
                     steps_run=(
                         (feed.start + feed.count - 1) * sep + depth + 1
@@ -1060,7 +1094,7 @@ class PackedSession:
                 )
             else:
                 break
-            self._resolved_upto += 1
+            self._done.append(self._unresolved.popleft())
 
 
 def open_packed_session(

@@ -533,8 +533,10 @@ class WaveNetlist:
         return other
 
     def __getstate__(self) -> dict[str, object]:
-        """Pickle the used rows only, without the derived-facts cache
-        (netlists cross the wire and the process-shard pipes)."""
+        """Pickle the used rows only, without the derived-facts cache.
+
+        (The serving tier never pickles a netlist: its wire codec ships
+        the three arrays and rebuilds them with :meth:`from_arrays`.)"""
         state = dict(self.__dict__)
         state["_kinds"] = self._kinds[: self._n]
         state["_fanins"] = self._fanins[: self._n]
@@ -574,18 +576,95 @@ class WaveNetlist:
             self._outputs = np.zeros(1, dtype=np.int64)
 
     @classmethod
+    def from_arrays(
+        cls,
+        kinds: np.ndarray,
+        fanins: np.ndarray,
+        outputs: np.ndarray,
+        *,
+        name: str = "",
+        inputs: Optional[Sequence[int]] = None,
+        input_names: Optional[Sequence[str]] = None,
+        output_names: Optional[Sequence[str]] = None,
+    ) -> "WaveNetlist":
+        """A netlist over the given arrays (copied), validated.
+
+        The inverse of :meth:`arrays` for arrays from outside, such as
+        the wire codec's.  Raises :class:`~repro.errors.NetlistError`
+        unless: row 0 is the only ``CONST`` row and every kind is in
+        range; each row's fan-in count matches its kind (:data:`ARITY`)
+        and the unused columns hold 0; every fan-in and output literal
+        names a row; the *inputs* (default: the ``INPUT`` rows in order)
+        are distinct and are exactly the ``INPUT`` rows; the name lists
+        match the interface; and there is no cycle (the :meth:`levels`
+        pass).  Fan-ins may point forward: the transforms rewire to
+        later rows.
+        """
+        kinds = np.asarray(kinds)
+        fanins = np.asarray(fanins)
+        outputs = np.asarray(outputs)
+        for label, array, ndim in (
+            ("kinds", kinds, 1), ("fanins", fanins, 2), ("outputs", outputs, 1)
+        ):
+            if array.ndim != ndim or array.dtype.kind not in "iu":
+                raise NetlistError(
+                    f"{label} must be a {ndim}-d integer array, got "
+                    f"{array.dtype} of shape {array.shape}"
+                )
+        n = len(kinds)
+        if n == 0 or kinds[0] != Kind.CONST:
+            raise NetlistError("row 0 must be the constant cell")
+        if np.any((kinds[1:] < Kind.INPUT) | (kinds[1:] > Kind.FOG)):
+            raise NetlistError(
+                f"component kinds must be in {Kind.INPUT.value}.."
+                f"{Kind.FOG.value} past the constant row"
+            )
+        if fanins.shape != (n, 3):
+            raise NetlistError(
+                f"fanins has shape {fanins.shape}, expected ({n}, 3)"
+            )
+        used = np.arange(3) < ARITY[kinds.astype(np.int64)][:, None]
+        if np.any(fanins[~used] != 0):
+            raise NetlistError("a fan-in column past its kind's arity is not 0")
+        if np.any((fanins < 0) | (fanins >= 2 * n)) or np.any(
+            (outputs < 0) | (outputs >= 2 * n)
+        ):
+            raise NetlistError("a fan-in or output literal names no row")
+        input_rows = np.flatnonzero(kinds == Kind.INPUT)
+        inputs = input_rows.tolist() if inputs is None else list(inputs)
+        if sorted(inputs) != input_rows.tolist():
+            raise NetlistError(
+                "inputs must list every INPUT row exactly once"
+            )
+        netlist = cls(name)
+        netlist._inputs = inputs
+        netlist._input_index = {row: pos for pos, row in enumerate(inputs)}
+        netlist._input_names = (
+            [f"in{pos}" for pos in range(len(inputs))]
+            if input_names is None else list(input_names)
+        )
+        netlist._output_names = (
+            [f"out{pos}" for pos in range(len(outputs))]
+            if output_names is None else list(output_names)
+        )
+        if len(netlist._input_names) != len(inputs) or len(
+            netlist._output_names
+        ) != len(outputs):
+            raise NetlistError("name lists do not match the interface")
+        netlist._set_arrays(kinds, fanins, outputs)
+        netlist.levels()  # raises NetlistError on a cycle
+        return netlist
+
+    @classmethod
     def from_mig(cls, mig: Mig, name: str = "") -> "WaveNetlist":
         """Lower a MIG to a physical wave netlist (1:1, no buffers yet)."""
         netlist = cls(name or mig.name)
         for pi_name in mig.pi_names:
             netlist.add_input(pi_name)
-        gates = list(mig.gates())
+        gates, lits = mig.gate_arrays()
         mapping = np.zeros(mig.n_nodes, dtype=np.int64)
         mapping[mig.pis] = np.arange(1, mig.n_pis + 1)
         mapping[gates] = np.arange(mig.n_pis + 1, mig.n_pis + 1 + len(gates))
-        lits = np.array(
-            [mig.fanins(gate) for gate in gates], dtype=np.int64
-        ).reshape(-1, 3)
         lits = np.sort((mapping[lits >> 1] << 1) | (lits & 1), axis=1)
         pos = np.array(mig.pos, dtype=np.int64)
         outputs = (mapping[pos >> 1] << 1) | (pos & 1)

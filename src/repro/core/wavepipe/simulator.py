@@ -96,16 +96,64 @@ class WaveInterference:
     wave_ids: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class WaveSimulationReport:
-    """Outcome of :func:`simulate_waves`."""
+    """Outcome of :func:`simulate_waves`.
 
-    outputs: list[list[bool]]
+    ``bits`` holds the retired outputs as one read-only ``(waves,
+    n_outputs)`` bool matrix: row *w* is wave *w*'s output vector.  Every
+    engine returns this form, the packed engine's reports are row slices
+    of one batch matrix, and the wire codec ships it as a raw buffer, so
+    no per-wave Python object is built anywhere on the serving path.
+    :attr:`outputs` is the same bits as one ``list[bool]`` per wave,
+    built on first read and kept.
+
+    Two reports are equal when their scalar fields and interference
+    events are equal and their ``bits`` have the same dtype and shape and
+    every bit equal (:meth:`__eq__`; dataclass equality would raise on
+    the array field).
+    """
+
+    bits: np.ndarray
     latency_steps: int
     steps_run: int
     waves_injected: int
     waves_retired: int
     interference: list[WaveInterference] = field(default_factory=list)
+    _rows: Optional[list[list[bool]]] = field(
+        default=None, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.bits.flags.writeable:
+            # a read-only view: the caller's own array stays writable
+            self.bits = self.bits.view()
+            self.bits.flags.writeable = False
+
+    @property
+    def outputs(self) -> list[list[bool]]:
+        """:attr:`bits` as one list of bools per wave (built once).
+
+        The list is made on first read and the same object is returned
+        afterwards; :attr:`bits` and :meth:`__eq__` never read it.
+        """
+        if self._rows is None:
+            self._rows = self.bits.tolist()
+        return self._rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WaveSimulationReport):
+            return NotImplemented
+        return (
+            self.latency_steps == other.latency_steps
+            and self.steps_run == other.steps_run
+            and self.waves_injected == other.waves_injected
+            and self.waves_retired == other.waves_retired
+            and self.interference == other.interference
+            and self.bits.dtype == other.bits.dtype
+            and self.bits.shape == other.bits.shape
+            and bool(np.array_equal(self.bits, other.bits))
+        )
 
     @property
     def coherent(self) -> bool:
@@ -177,10 +225,11 @@ def _validate_vectors(
             )
 
 
-def _empty_report(depth: int) -> WaveSimulationReport:
-    """Clean report for an empty wave list: zero steps, nothing retired."""
+def _empty_report(depth: int, n_outputs: int) -> WaveSimulationReport:
+    """Clean report for an empty wave list: zero steps, nothing retired,
+    a ``(0, n_outputs)`` bit matrix."""
     return WaveSimulationReport(
-        outputs=[],
+        bits=np.zeros((0, n_outputs), dtype=bool),
         latency_steps=depth,
         steps_run=0,
         waves_injected=0,
@@ -229,7 +278,7 @@ def simulate_waves(
 
     Returns
     -------
-    A report whose ``outputs[w]`` is the output vector of wave *w*.
+    A report whose ``bits[w]`` is the output vector of wave *w*.
     """
     _check_engine(engine)
     clocking = clocking or ClockingScheme()
@@ -302,8 +351,8 @@ def _simulate_waves_python(
     depth = netlist.depth(levels)
     if depth == 0:
         raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    if not vectors:
-        return _empty_report(depth)
+    if not len(vectors):
+        return _empty_report(depth, netlist.n_outputs)
 
     # Components grouped by latching phase, deepest first within a phase:
     # when an unbalanced netlist connects two same-phase components, the
@@ -396,7 +445,7 @@ def _simulate_waves_python(
         raise SimulationError("simulation ended before every wave retired")
 
     return WaveSimulationReport(
-        outputs=results,
+        bits=np.array(results, dtype=bool).reshape(n_waves, len(outputs)),
         latency_steps=depth,
         steps_run=total_steps,
         waves_injected=injected,

@@ -71,15 +71,15 @@ class ShardFailed(ServeError):
 
 
 class WireProtocolError(ServeError):
-    """A peer violated the length-prefixed socket framing.
+    """A peer violated the socket framing or the wire codec.
 
-    Raised by the network serving tier (:mod:`repro.serve.net` /
-    :mod:`repro.serve.client`) for malformed frames: a length prefix
-    above the negotiated maximum, an unpicklable payload, or a message
-    whose shape the receiver does not understand.  The server answers
-    with a typed ``fatal`` wire error and closes the offending
-    connection; in-flight requests on *other* connections are
-    unaffected.
+    Raised by the serving codec (:mod:`repro.serve.codec`) for every
+    payload it cannot decode — truncated, a bad header or metadata, an
+    unknown message kind or tag, a dtype or buffer length it refuses,
+    an invalid netlist — and by the network tier for a length prefix
+    above the negotiated maximum.  The server answers with a typed
+    ``fatal`` wire error and closes the offending connection; in-flight
+    requests on *other* connections are unaffected.
     """
 
 

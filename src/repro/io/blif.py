@@ -9,6 +9,7 @@ MIG — so netlists written by ABC-style tools round-trip into this library.
 
 from __future__ import annotations
 
+import heapq
 from pathlib import Path
 
 from ..core.mig import Mig
@@ -123,31 +124,66 @@ def loads_blif(text: str, max_cover_inputs: int = 10) -> Mig:
     signals: dict[str, Signal] = {}
     for name in inputs:
         signals[name] = mig.add_pi(name)
-
-    pending = list(covers)
-    progress = True
-    while pending and progress:
-        progress = False
-        remaining = []
-        for fanin_names, output_name, rows in pending:
-            if any(name not in signals for name in fanin_names):
-                remaining.append((fanin_names, output_name, rows))
-                continue
-            signals[output_name] = _lower_cover(
-                mig, [signals[n] for n in fanin_names], rows,
-                max_cover_inputs,
-            )
-            progress = True
-        pending = remaining
-    if pending:
-        missing = ", ".join(p[1] for p in pending[:5])
-        raise ParseError(f"unresolved .names blocks: {missing}")
+    _lower_blocks(mig, covers, signals, max_cover_inputs)
 
     for name in outputs:
         if name not in signals:
             raise ParseError(f"output {name!r} is never defined")
         mig.add_po(signals[name], name)
     return mig
+
+
+def _lower_blocks(
+    mig: Mig,
+    covers: list[tuple[list[str], str, list[tuple[str, str]]]],
+    signals: dict[str, Signal],
+    max_cover_inputs: int,
+) -> None:
+    """Lower every ``.names`` block once its fan-ins are defined.
+
+    Blocks are lowered in *sweep order*: the order of repeated file-order
+    sweeps that each lower every block whose fan-ins are already
+    defined, which keeps every MIG node-for-node what such sweeps build.
+    A block's sweep is the largest over its fan-ins of the defining
+    block's sweep, plus one where that block comes later in the file
+    (a name's first-lowered definition counts; inputs are defined before
+    sweep 1).  One pass computes it: a block enters a heap keyed by
+    (sweep, file position) when its last missing fan-in is defined, so
+    the reader takes O(n log n) time in the number of blocks where the
+    sweeps took O(n^2).  Blocks never reached — undefined names or a
+    cycle — raise :class:`~repro.errors.ParseError`.
+    """
+    consumers: dict[str, list[int]] = {}
+    missing = [0] * len(covers)
+    for index, (fanin_names, _, _) in enumerate(covers):
+        for name in dict.fromkeys(fanin_names):
+            if name not in signals:
+                missing[index] += 1
+                consumers.setdefault(name, []).append(index)
+    sweep = [1] * len(covers)
+    ready = [(1, index) for index in range(len(covers)) if not missing[index]]
+    lowered = [False] * len(covers)
+    while ready:
+        block_sweep, index = heapq.heappop(ready)
+        fanin_names, output_name, rows = covers[index]
+        first = output_name not in signals
+        signals[output_name] = _lower_cover(
+            mig, [signals[n] for n in fanin_names], rows, max_cover_inputs,
+        )
+        lowered[index] = True
+        if not first:
+            continue
+        for consumer in consumers.pop(output_name, ()):
+            # a later block reads it in this sweep, an earlier one next
+            needed = block_sweep + (consumer < index)
+            sweep[consumer] = max(sweep[consumer], needed)
+            missing[consumer] -= 1
+            if not missing[consumer]:
+                heapq.heappush(ready, (sweep[consumer], consumer))
+    pending = [covers[i] for i in range(len(covers)) if not lowered[i]]
+    if pending:
+        names = ", ".join(block[1] for block in pending[:5])
+        raise ParseError(f"unresolved .names blocks: {names}")
 
 
 def _join_continuations(text: str) -> list[str]:

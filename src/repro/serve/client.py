@@ -10,9 +10,12 @@ the submit call, and per-request failures
 (:class:`~repro.errors.DeadlineExceeded`,
 :class:`~repro.errors.ShardFailed`, ...) come back through the
 futures — typed, exactly as a local caller would see them.  Reports are
-bit-identical to solo runs because the socket moves the same numpy wire
-format the process shards already speak; nothing on the path touches
-payload semantics.
+bit-identical to solo runs because the socket moves the same codec the
+process shards speak (:mod:`repro.serve.codec`): each report's outputs
+arrive as the raw bytes of its ``(waves, n_outputs)`` bool matrix, and
+nothing on the path touches payload semantics.  Replies are decoded,
+never unpickled: a frame the codec refuses ends the connection with
+:class:`~repro.errors.ConnectionLost`.
 
 One background reader thread demultiplexes replies; submissions from
 any number of caller threads are safe (frame writes are serialized, the
@@ -26,7 +29,6 @@ the connection dies, every pending future fails with
 from __future__ import annotations
 
 import itertools
-import pickle
 import socket
 import struct
 import threading
@@ -44,7 +46,8 @@ from ..errors import (
     SessionClosed,
     WireProtocolError,
 )
-from .net import DEFAULT_MAX_FRAME_BYTES, HEADER, encode_frame, unwire_error
+from .codec import LENGTH, REPLIES, REQUESTS, unwire_error
+from .net import DEFAULT_MAX_FRAME_BYTES
 from .queue import WaveStream
 from .shards import _wire_streams
 
@@ -109,10 +112,14 @@ class ClientSession:
             request_id = next(client._ids)
             future: "Future[WaveSimulationReport]" = Future()
             client._pending[request_id] = future
-        (block,) = _wire_streams([vectors])
-        client._send(
-            ("s_feed", request_id, self.session_id, block, deadline_s)
-        )
+        try:
+            (block,) = _wire_streams([vectors])
+            client._send(
+                ("s_feed", request_id, self.session_id, block, deadline_s)
+            )
+        except BaseException:
+            client._drop_pending([request_id])
+            raise
         return future
 
     def close(
@@ -249,25 +256,36 @@ class SimulationClient:
                 future: "Future[WaveSimulationReport]" = Future()
                 self._pending[request_id] = future
                 futures.append(future)
-        wire = _wire_streams(streams)
+        try:
+            wire = _wire_streams(streams)
+        except BaseException:
+            self._drop_pending(request_ids)
+            raise
         for resend in (False, True):
             with self._lock:
                 burst_id = next(self._ids)
                 burst = _Burst()
                 self._bursts[burst_id] = burst
-            self._send(
-                (
-                    "submit",
-                    burst_id,
-                    token,
-                    netlist if (ship or resend) else None,
-                    request_ids,
-                    wire,
-                    n_phases,
-                    pipelined,
-                    deadline_s,
+            try:
+                self._send(
+                    (
+                        "submit",
+                        burst_id,
+                        token,
+                        netlist if (ship or resend) else None,
+                        request_ids,
+                        wire,
+                        n_phases,
+                        pipelined,
+                        deadline_s,
+                    )
                 )
-            )
+            except BaseException:
+                # nothing reached the server: no future may strand
+                with self._lock:
+                    self._bursts.pop(burst_id, None)
+                self._drop_pending(request_ids)
+                raise
             if not burst.event.wait(self._admission_timeout_s):
                 with self._lock:
                     self._bursts.pop(burst_id, None)
@@ -425,8 +443,8 @@ class SimulationClient:
             for request_id in request_ids:
                 self._pending.pop(request_id, None)
 
-    def _send(self, message: object) -> None:
-        frame = encode_frame(message)
+    def _send(self, message: tuple) -> None:
+        frame = REQUESTS.frame(message)
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
@@ -438,10 +456,10 @@ class SimulationClient:
         detail = "server closed the connection"
         try:
             while True:
-                header = self._rfile.read(HEADER.size)
-                if header is None or len(header) < HEADER.size:
+                header = self._rfile.read(LENGTH.size)
+                if header is None or len(header) < LENGTH.size:
                     break
-                (length,) = HEADER.unpack(header)
+                (length,) = LENGTH.unpack(header)
                 if length > self._max_frame_bytes:
                     detail = (
                         f"inbound frame of {length} bytes exceeds the "
@@ -452,8 +470,8 @@ class SimulationClient:
                 if payload is None or len(payload) < length:
                     break
                 try:
-                    message = pickle.loads(payload)
-                except Exception as error:
+                    message = REPLIES.decode(payload)
+                except WireProtocolError as error:
                     detail = f"undecodable reply frame: {error}"
                     break
                 if not self._on_message(message):

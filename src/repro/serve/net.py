@@ -1,4 +1,4 @@
-"""Network serving tier: the numpy wire format behind a TCP socket.
+"""Network serving tier: the serving codec behind a TCP socket.
 
 :class:`SocketServer` fronts one in-process
 :class:`~repro.serve.server.SimulationServer` with an asyncio socket
@@ -8,10 +8,19 @@ the event loop only ever does framing, dispatch, and reply fan-out.
 
 Wire protocol
 -------------
-Length-prefixed frames: a 4-byte big-endian payload size followed by a
-pickled message tuple (the request payloads inside are the same
-``(waves, inputs)`` bool blocks the process shards ship over their
-pipes — one wire format everywhere).  Client -> server::
+Length-prefixed frames: a 4-byte big-endian payload size, then one
+message of :mod:`repro.serve.codec` — a struct header, JSON metadata
+naming every field, then the raw numpy buffers.  The process shards'
+pipes carry the same encoding: one wire format everywhere, and no
+pickle on either boundary.  Array fields travel as buffers: each
+request stream as one ``(waves, inputs)`` bool block (an empty stream
+as ``[]``), each report's outputs as one ``(waves, n_outputs)`` bool
+matrix beside its scalar fields, and a netlist as its ``kinds`` /
+``fanins`` / ``outputs`` arrays plus names, validated on arrival by
+:meth:`~repro.core.wavepipe.components.WaveNetlist.from_arrays`.  A
+frame that does not decode — over the size cap, truncated, malformed,
+of an unknown kind, or carrying an invalid netlist — gets a ``fatal``
+reply and closes only its own connection.  Client -> server::
 
     ("submit", burst_id, token, netlist | None, request_ids,
      streams, n_phases | None, pipelined | None, deadline_s | None)
@@ -48,8 +57,9 @@ returns after every feed future resolved — so every ``result`` /
 ``error`` frame of a drained session is on the wire *before* its
 ``s_closed`` frame.
 
-``kind`` is a stable string (see :data:`WIRE_ERROR_KINDS`) mapping back
-to the exception hierarchy on the client, so ``ServerQueueFull``,
+``kind`` is a stable string (see
+:data:`repro.serve.codec.WIRE_ERROR_KINDS`) mapping back to the
+exception hierarchy on the client, so ``ServerQueueFull``,
 ``DeadlineExceeded``, ``ShardFailed`` & co. round-trip the socket with
 their types intact.
 
@@ -74,9 +84,7 @@ Backpressure and lifecycle
 from __future__ import annotations
 
 import asyncio
-import pickle
 import signal
-import struct
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -88,22 +96,9 @@ from typing import Optional
 from ..core.wavepipe.clocking import ClockingScheme
 from ..core.wavepipe.components import WaveNetlist
 from ..core.wavepipe.simulator import WaveSimulationReport
-from ..errors import (
-    ConnectionLost,
-    DeadlineExceeded,
-    ReproError,
-    ServeError,
-    ServerClosed,
-    ServerQueueFull,
-    SessionClosed,
-    ShardFailed,
-    SimulationError,
-    WireProtocolError,
-)
+from ..errors import ReproError, ServeError, WireProtocolError
+from .codec import LENGTH, REPLIES, REQUESTS, wire_error
 from .server import ServerSession, SimulationServer
-
-#: Frame header: 4-byte big-endian payload length.
-HEADER = struct.Struct("!I")
 
 #: Refuse frames above this many payload bytes (a corrupt or hostile
 #: length prefix must not allocate unbounded buffers server-side).
@@ -116,45 +111,6 @@ DEFAULT_WRITE_BUFFER_BYTES = 1 << 20
 #: Per-connection cap on cached client netlists (mirrors the process
 #: shards' worker-side cache; eviction only costs a ``miss`` re-ship).
 CONNECTION_NETLIST_CACHE = 32
-
-#: Error-type <-> wire-kind table, most specific first (the first
-#: ``isinstance`` match encodes; the kind alone decodes).
-_WIRE_ERRORS: "tuple[tuple[type[ReproError], str], ...]" = (
-    (ServerQueueFull, "queue_full"),
-    (DeadlineExceeded, "deadline"),
-    (ShardFailed, "shard_failed"),
-    (SessionClosed, "session_closed"),
-    (ServerClosed, "closed"),
-    (WireProtocolError, "protocol"),
-    (ConnectionLost, "connection_lost"),
-    (SimulationError, "simulation"),
-    (ServeError, "serve"),
-)
-
-#: The stable wire-error kinds (documentation / exhaustiveness checks).
-WIRE_ERROR_KINDS = tuple(kind for _, kind in _WIRE_ERRORS)
-
-_KIND_TO_ERROR = {kind: err_type for err_type, kind in _WIRE_ERRORS}
-
-
-def wire_error(error: BaseException) -> "tuple[str, str]":
-    """Encode *error* as a ``(kind, message)`` wire pair."""
-    for err_type, kind in _WIRE_ERRORS:
-        if isinstance(error, err_type):
-            return kind, str(error)
-    return "serve", f"{type(error).__name__}: {error}"
-
-
-def unwire_error(kind: str, message: str) -> ReproError:
-    """Decode a wire pair back into its typed exception."""
-    return _KIND_TO_ERROR.get(kind, ServeError)(message)
-
-
-def encode_frame(message: object) -> bytes:
-    """One length-prefixed wire frame for *message*."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return HEADER.pack(len(payload)) + payload
-
 
 @dataclass
 class _Connection:
@@ -461,10 +417,10 @@ class SocketServer:
     ) -> None:
         while True:
             try:
-                header = await reader.readexactly(HEADER.size)
+                header = await reader.readexactly(LENGTH.size)
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return  # EOF or reset — normal disconnect paths
-            (length,) = HEADER.unpack(header)
+            (length,) = LENGTH.unpack(header)
             if length > self._max_frame_bytes:
                 self._fatal(
                     conn,
@@ -477,11 +433,11 @@ class SocketServer:
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return  # truncated frame: peer went away mid-send
             self._count("frames_in")
-            self._count("bytes_in", HEADER.size + length)
+            self._count("bytes_in", LENGTH.size + length)
             try:
-                message = pickle.loads(payload)
-            except Exception as error:
-                self._fatal(conn, f"unpicklable frame: {error}")
+                message = REQUESTS.decode(payload)
+            except WireProtocolError as error:
+                self._fatal(conn, str(error))
                 return
             try:
                 await self._dispatch(conn, message)
@@ -514,21 +470,17 @@ class SocketServer:
     # ------------------------------------------------------------------
     # dispatch (loop thread)
     # ------------------------------------------------------------------
-    def _enqueue_reply(self, conn: _Connection, message: object) -> None:
+    def _enqueue_reply(self, conn: _Connection, message: tuple) -> None:
         if conn.closed:
             self._count("dropped_replies")
             return
-        conn.replies.put_nowait(encode_frame(message))
+        conn.replies.put_nowait(REPLIES.frame(message))
 
     def _fatal(self, conn: _Connection, detail: str) -> None:
         self._count("protocol_errors")
         self._enqueue_reply(conn, ("fatal", "protocol", detail))
 
-    async def _dispatch(self, conn: _Connection, message: object) -> None:
-        if not isinstance(message, tuple) or not message:
-            raise WireProtocolError(
-                f"expected a non-empty message tuple, got {type(message).__name__}"
-            )
+    async def _dispatch(self, conn: _Connection, message: tuple) -> None:
         kind = message[0]
         if kind == "submit":
             await self._handle_submit(conn, message)
@@ -585,9 +537,9 @@ class SocketServer:
                  "socket server is draining"),
             )
             return
-        clocking = None if n_phases is None else ClockingScheme(n_phases)
         loop = asyncio.get_running_loop()
         try:
+            clocking = None if n_phases is None else ClockingScheme(n_phases)
             # admission validates and may compile: off the event loop
             futures = await loop.run_in_executor(
                 None,
@@ -634,9 +586,9 @@ class SocketServer:
                  "socket server is draining"),
             )
             return
-        clocking = None if n_phases is None else ClockingScheme(n_phases)
         loop = asyncio.get_running_loop()
         try:
+            clocking = None if n_phases is None else ClockingScheme(n_phases)
             # opening compiles the plan and spins the session up:
             # off the event loop, like submit admission
             session = await loop.run_in_executor(
@@ -766,6 +718,6 @@ class SocketServer:
             # strands, the client (if any) sees ConnectionLost
             self._count("dropped_replies")
 
-    def _finish_request(self, conn: _Connection, message: object) -> None:
+    def _finish_request(self, conn: _Connection, message: tuple) -> None:
         conn.inflight -= 1
         self._enqueue_reply(conn, message)

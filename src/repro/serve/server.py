@@ -928,6 +928,11 @@ class _FeedItem:
     resolved: bool = False  # future already carries a result/exception
 
 
+#: Stands in the feed log for every feed resolved with a report: the
+#: session keeps the feed's input block for replay, never its report.
+_DELIVERED = _FeedItem(Future(), [], 0, None, resolved=True)
+
+
 class ServerSession:
     """One streaming simulation session (see :meth:`SimulationServer.open_stream`).
 
@@ -1249,6 +1254,7 @@ class ServerSession:
             item = self._sent[index]
             if not item.resolved:
                 item.resolved = True
+                self._sent[index] = _DELIVERED
                 item.future.set_result(report)
 
     def _dispatch_feed(self, block: object, flush: bool) -> list:

@@ -13,12 +13,15 @@ Design
 * **Wire format.**  The serve package is transport-agnostic by design —
   a request's payload is one ``(waves, inputs)`` bool block (or an empty
   list), exactly what :func:`~repro.core.wavepipe.batch.
-  simulate_streams_packed` consumes.  Dispatching a batch to a worker
-  sends that same representation over a :class:`multiprocessing.Pipe`
-  (numpy arrays pickle to flat buffers); the reply is the list of
-  :class:`~repro.core.wavepipe.simulator.WaveSimulationReport` objects,
+  simulate_streams_packed` consumes.  Parent and worker exchange the
+  messages of :mod:`repro.serve.codec` over a :class:`multiprocessing.Pipe`
+  with ``send_bytes``/``recv_bytes`` (never the pickling ``send``/
+  ``recv``): blocks go as raw bool buffers, a netlist as its three
+  arrays plus names, and the reply to a batch as its reports' scalar
+  fields plus one ``(waves, n_outputs)`` bool buffer each —
   bit-identical to an in-process run because the kernels are
-  deterministic.
+  deterministic.  A worker-side error comes back as its wire-error
+  ``(kind, message)`` pair and re-raises typed in the parent.
 * **Sticky routing.**  A netlist group is always routed to the same
   worker (``hash(route key) % n_workers``), so each worker compiles a
   netlist at most once per version: the netlist itself is shipped only
@@ -77,6 +80,7 @@ import numpy as np
 
 from ..core.wavepipe.components import WaveNetlist
 from ..errors import ServeError, ShardFailed
+from .codec import WORKER_REPLIES, WORKER_REQUESTS, unwire_error, wire_error
 from .faults import FaultPlan
 from .queue import WaveStream
 from .supervisor import SupervisorConfig, WorkerSupervisor
@@ -94,6 +98,11 @@ DEFAULT_STOP_TIMEOUT_S = 10.0
 #: ``recv``), so worker death without EOF and dispatch-timeout expiry
 #: are both detected within one tick.
 POLL_TICK_S = 0.05
+
+
+def _post(conn: Connection, message: tuple) -> None:
+    """Send one parent -> worker message over the pipe."""
+    conn.send_bytes(WORKER_REQUESTS.encode(message))
 
 
 def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a child
@@ -115,22 +124,10 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
 
     def _send_reply(reply: tuple) -> bool:
         try:
-            conn.send(reply)
+            conn.send_bytes(WORKER_REPLIES.encode(reply))
             return True
         except OSError:
             return False  # pipe gone: the parent is closing or died
-        except Exception:
-            # unpicklable payload (pickle.PicklingError, or any other
-            # serialization failure an exotic exception object can
-            # produce): degrade to a picklable description rather than
-            # killing the worker and losing the error entirely
-            try:
-                conn.send(
-                    ("error", ServeError(f"worker error: {reply[1]!r}"))
-                )
-                return True
-            except OSError:
-                return False
 
     def _run_fault(fault: object) -> None:
         # injected chaos (see serve/faults.py): executed worker-side so
@@ -150,15 +147,17 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
 
     while True:
         try:
-            message = conn.recv()
+            payload = conn.recv_bytes()
         except (EOFError, OSError):
             return  # parent went away; nothing sane left to do
+        message = WORKER_REQUESTS.decode(payload)
         kind = message[0]
         if kind == "stop":
             conn.close()
             return
         if kind == "ping":
-            conn.send(("pong", os.getpid()))
+            if not _send_reply(("pong", os.getpid())):
+                return
             continue
         if kind == "warm":
             # ("warm", key, netlist, n_phases): cache the netlist and
@@ -177,12 +176,12 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             except Exception:
                 pass
             continue
-        reply: tuple[str, object]
+        reply: tuple
         if kind == "s_open":
             # ("s_open", sid, netlist, n_phases, pipelined): create (or
             # recreate, for a feed-log replay) the worker-side engine
             # session.  The netlist is always shipped — sessions are
-            # long-lived, so the one-time pickle cost is amortized
+            # long-lived, so the one-time encoding cost is amortized
             # across every feed that follows.
             _, sid, netlist, n_phases, pipelined = message
             try:
@@ -197,7 +196,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                 )
                 reply = ("ok", None)
             except BaseException as error:
-                reply = ("error", error)
+                reply = ("error", *wire_error(error))
             if not _send_reply(reply):
                 return
             continue
@@ -224,7 +223,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                     done = session.pump()
                 reply = ("ok", [(h.index, h.report) for h in done])
             except BaseException as error:
-                reply = ("error", error)
+                reply = ("error", *wire_error(error))
             if not _send_reply(reply):
                 return
             continue
@@ -247,7 +246,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                         session.discard()
                         reply = ("ok", [])
                 except BaseException as error:
-                    reply = ("error", error)
+                    reply = ("error", *wire_error(error))
             if not _send_reply(reply):
                 return
             continue
@@ -265,7 +264,8 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                 # cache desync (e.g. this side evicted the key while
                 # the parent still advertises it): ask for a re-ship
                 # instead of failing the batch
-                conn.send(("miss", key))
+                if not _send_reply(("miss", key)):
+                    return
                 continue
             netlists.move_to_end(key)  # LRU hit
             reports = simulate_streams_packed(
@@ -278,7 +278,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             )
             reply = ("ok", reports)
         except BaseException as error:
-            reply = ("error", error)
+            reply = ("error", *wire_error(error))
         if not _send_reply(reply):
             return
 
@@ -345,10 +345,9 @@ def _wire_streams(
     """Payloads in the numpy wire format: one bool block per stream.
 
     ndarray payloads pass through untouched; list payloads are packed
-    into ``(waves, inputs)`` bool blocks (pickling a flat buffer beats
-    pickling nested lists of Python bools several-fold).  Empty streams
-    stay the empty list — their report is synthesized without touching
-    the kernels on either side.
+    into ``(waves, inputs)`` bool blocks, which the codec ships as raw
+    buffers.  Empty streams stay the empty list — their report is
+    synthesized without touching the kernels on either side.
     """
     wire: list[object] = []
     for vectors in streams:
@@ -476,7 +475,7 @@ class ProcessShardPool:
         # skips the re-ship on the first dispatch too
         for key, netlist, n_phases in self._warm:
             try:
-                worker.conn.send(("warm", key, netlist, n_phases))
+                _post(worker.conn, ("warm", key, netlist, n_phases))
             except (OSError, ValueError):  # pragma: no cover - spawn race
                 break  # a worker this broken fails at dispatch, typed
             worker.known[key] = netlist
@@ -542,7 +541,7 @@ class ProcessShardPool:
             # the drain semantics close promises
             with worker.lock:
                 try:
-                    worker.conn.send(("stop",))
+                    _post(worker.conn, ("stop",))
                 except (OSError, ValueError):
                     pass  # already dead or pipe gone: terminate below
         deadline_at = time.monotonic() + max(0.0, float(timeout))
@@ -686,7 +685,9 @@ class ProcessShardPool:
     def _receive(self, index: int, worker: _Worker) -> Tuple[str, object]:
         """Await one reply via bounded polls; never an indefinite recv.
 
-        Detects, within one :data:`POLL_TICK_S` tick: a reply (returned),
+        Returns ``(status, payload)``; an ``error`` reply's payload is
+        its decoded typed exception, for the caller to raise.  Detects,
+        within one :data:`POLL_TICK_S` tick: a reply (returned),
         worker death without EOF (``_AttemptFailed``), pipe EOF/reset
         (``_AttemptFailed``), and — when ``dispatch_timeout_s`` is set —
         a hung worker, which is SIGKILL-reaped before the attempt fails.
@@ -715,7 +716,10 @@ class ProcessShardPool:
                 tick = min(tick, max(0.0, remaining))
             try:
                 if worker.conn.poll(tick):
-                    return worker.conn.recv()
+                    message = WORKER_REPLIES.decode(worker.conn.recv_bytes())
+                    if message[0] == "error":
+                        return "error", unwire_error(message[1], message[2])
+                    return message[0], message[1]
             except (EOFError, BrokenPipeError, ConnectionResetError,
                     OSError):
                 raise _AttemptFailed(
@@ -764,7 +768,8 @@ class ProcessShardPool:
         ship_netlist = worker.known.get(key) is not netlist
         while True:
             try:
-                worker.conn.send(
+                _post(
+                    worker.conn,
                     (
                         "run",
                         key,
@@ -773,7 +778,7 @@ class ProcessShardPool:
                         bool(pipelined),
                         wire,
                         directive,
-                    )
+                    ),
                 )
             except (OSError, ValueError):
                 raise _AttemptFailed(
@@ -931,14 +936,15 @@ class ProcessShardPool:
                         if not worker.process.is_alive():
                             worker = self._revive(index)
                         try:
-                            worker.conn.send(
+                            _post(
+                                worker.conn,
                                 (
                                     "s_open",
                                     session_id,
                                     netlist,
                                     int(n_phases),
                                     bool(pipelined),
-                                )
+                                ),
                             )
                         except (OSError, ValueError):
                             raise _AttemptFailed(
@@ -1018,8 +1024,9 @@ class ProcessShardPool:
                 )
             directive = None if fault is None else fault.wire()
             try:
-                worker.conn.send(
-                    ("s_feed", session_id, block, bool(flush), directive)
+                _post(
+                    worker.conn,
+                    ("s_feed", session_id, block, bool(flush), directive),
                 )
             except (OSError, ValueError):
                 self._fail_slot(
@@ -1069,7 +1076,7 @@ class ProcessShardPool:
                     slot, "worker died before session close"
                 )
             try:
-                worker.conn.send(("s_close", session_id, bool(drain)))
+                _post(worker.conn, ("s_close", session_id, bool(drain)))
             except (OSError, ValueError):
                 self._fail_slot(
                     slot, "worker pipe closed at session close"

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.mig import Mig
 from repro.core.simulate import truth_tables
 from repro.core.wavepipe.components import Kind, WaveNetlist
 from repro.errors import NetlistError
+from repro.suite import QUICK_SUITE, build_benchmark
+
+from strategies import random_migs
 
 
 @pytest.fixture
@@ -378,3 +382,141 @@ class TestArrayLayout:
         assert copy.levels().tolist() == netlist.levels().tolist()
         copy.add_output(copy.add_buf(m))
         assert copy.depth() == 2 and netlist.depth() == 1
+
+
+def _per_gate_arrays(mig):
+    """``from_mig``'s arrays built the former way: one ``mig.fanins``
+    tuple per gate, mapped and sorted row by row."""
+    mapping = {0: 0}
+    for position, pi in enumerate(mig.pis):
+        mapping[pi] = position + 1
+    kinds = [Kind.CONST] + [Kind.INPUT] * mig.n_pis
+    fanins = [(0, 0, 0)] * (1 + mig.n_pis)
+    for gate in mig.gates():
+        mapping[gate] = len(kinds)
+        kinds.append(Kind.MAJ)
+        fanins.append(
+            tuple(
+                sorted(
+                    (mapping[lit >> 1] << 1) | (lit & 1)
+                    for lit in mig.fanins(gate)
+                )
+            )
+        )
+    outputs = [(mapping[int(po) >> 1] << 1) | (int(po) & 1) for po in mig.pos]
+    return (
+        np.array(kinds, dtype=np.int8),
+        np.array(fanins, dtype=np.int32),
+        np.array(outputs, dtype=np.int64),
+    )
+
+
+def _assert_per_gate_arrays(mig):
+    netlist = WaveNetlist.from_mig(mig)
+    for got, want in zip(netlist.arrays(), _per_gate_arrays(mig)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert netlist.input_names == mig.pi_names
+
+
+class TestFromMigArrays:
+    """``from_mig`` reads the MIG through ``Mig.gate_arrays``."""
+
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in QUICK_SUITE]
+    )
+    def test_quick_suite_matches_per_gate_construction(self, name):
+        _assert_per_gate_arrays(build_benchmark(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mig=random_migs())
+    def test_random_migs_match_per_gate_construction(self, mig):
+        _assert_per_gate_arrays(mig)
+
+
+def _interface(netlist):
+    return {
+        "name": netlist.name,
+        "inputs": netlist.inputs,
+        "input_names": netlist.input_names,
+        "output_names": netlist.output_names,
+    }
+
+
+class TestFromArrays:
+    """``from_arrays`` rebuilds a netlist and rejects malformed arrays."""
+
+    def test_round_trips_a_flow_result(self, adder_mig):
+        from repro.core.wavepipe import wave_pipeline
+
+        netlist = wave_pipeline(adder_mig, fanout_limit=2).netlist
+        arrays = netlist.arrays()
+        # the transforms rewire fan-ins forward: that must stay legal
+        rows = np.arange(len(arrays.kinds))[:, None]
+        assert np.any(arrays.fanins >> 1 > rows)
+        copy = WaveNetlist.from_arrays(*arrays, **_interface(netlist))
+        for mine, theirs in zip(arrays, copy.arrays()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert _interface(copy) == _interface(netlist)
+        assert copy.levels().tolist() == netlist.levels().tolist()
+        copy.add_output(copy.add_buf(copy.inputs[0] << 1))  # still editable
+
+    def test_default_interface(self, small):
+        netlist, _, _ = small
+        copy = WaveNetlist.from_arrays(*netlist.arrays())
+        assert copy.inputs == netlist.inputs
+        assert copy.input_names == ["in0", "in1", "in2"]
+        assert copy.output_names == ["out0"]
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda k, f, o: k.__setitem__(4, 7), "kinds"),
+            (lambda k, f, o: k.__setitem__(4, Kind.CONST), "kinds"),
+            (lambda k, f, o: k.__setitem__(0, Kind.INPUT), "row 0"),
+            (lambda k, f, o: k.__setitem__(4, Kind.BUF), "arity"),
+            (lambda k, f, o: f.__setitem__((1, 0), 2), "arity"),
+            (lambda k, f, o: f.__setitem__((4, 2), 10), "names no row"),
+            (lambda k, f, o: f.__setitem__((4, 2), -1), "names no row"),
+            (lambda k, f, o: o.__setitem__(0, 99), "names no row"),
+        ],
+    )
+    def test_rejects(self, small, edit, match):
+        netlist, _, _ = small
+        kinds, fanins, outputs = (
+            array.copy() for array in netlist.arrays()
+        )
+        edit(kinds, fanins, outputs)
+        with pytest.raises(NetlistError, match=match):
+            WaveNetlist.from_arrays(kinds, fanins, outputs)
+
+    def test_rejects_an_input_list_that_is_not_the_input_rows(self, small):
+        netlist, _, _ = small
+        with pytest.raises(NetlistError, match="INPUT row"):
+            WaveNetlist.from_arrays(*netlist.arrays(), inputs=[1, 2, 4])
+        kinds, fanins, outputs = (
+            array.copy() for array in netlist.arrays()
+        )
+        kinds[3] = Kind.BUF  # a listed input that is not an INPUT row
+        with pytest.raises(NetlistError, match="INPUT row"):
+            WaveNetlist.from_arrays(kinds, fanins, outputs, inputs=[1, 2, 3])
+        with pytest.raises(NetlistError, match="INPUT row"):
+            WaveNetlist.from_arrays(*netlist.arrays(), inputs=[1, 2, 2, 3])
+
+    def test_rejects_names_that_do_not_fit(self, small):
+        netlist, _, _ = small
+        with pytest.raises(NetlistError, match="name lists"):
+            WaveNetlist.from_arrays(*netlist.arrays(), output_names=[])
+
+    def test_rejects_a_cycle(self, small):
+        netlist, _, m = small
+        netlist.add_output(netlist.add_buf(m))
+        kinds, fanins, outputs = (
+            array.copy() for array in netlist.arrays()
+        )
+        fanins[4, 0] = 5 << 1  # the MAJ now reads the BUF it drives
+        fanins[4].sort()
+        with pytest.raises(NetlistError, match="cycle"):
+            WaveNetlist.from_arrays(kinds, fanins, outputs)

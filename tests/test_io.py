@@ -1,11 +1,16 @@
 """Unit tests for BLIF, .mig, and Verilog I/O."""
 
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mig import Mig
 from repro.core.simulate import truth_tables
 from repro.core.wavepipe import WaveNetlist, wave_pipeline
 from repro.errors import ParseError
+from repro.io import blif
 from repro.io import (
     dumps,
     dumps_blif,
@@ -149,6 +154,118 @@ class TestBlif:
         # f = AND(a, one) = a;  g has a don't-care on the zero input, so
         # its cover "1-" also reduces to a
         assert truth_tables(parsed) == [0b10, 0b10]
+
+
+def _sweep_lower(mig, covers, signals, max_cover_inputs):
+    """The reader's former lowering: file-order sweeps until no block
+    resolves (quadratic on reverse-ordered files; the reference order)."""
+    pending = list(covers)
+    progress = True
+    while pending and progress:
+        progress = False
+        remaining = []
+        for fanin_names, output_name, rows in pending:
+            if any(name not in signals for name in fanin_names):
+                remaining.append((fanin_names, output_name, rows))
+                continue
+            signals[output_name] = blif._lower_cover(
+                mig, [signals[n] for n in fanin_names], rows,
+                max_cover_inputs,
+            )
+            progress = True
+        pending = remaining
+    if pending:
+        missing = ", ".join(p[1] for p in pending[:5])
+        raise ParseError(f"unresolved .names blocks: {missing}")
+
+
+def _structure(mig):
+    """Everything that makes two MIGs node-for-node identical."""
+    return (
+        mig.n_nodes,
+        mig.pis,
+        [(gate, mig.fanins(gate)) for gate in mig.gates()],
+        [int(po) for po in mig.pos],
+        mig.pi_names,
+        mig.po_names,
+    )
+
+
+def _and_chain(n, reverse):
+    """BLIF of g_i = AND(g_{i-1}, b) for i = 1..n (g_0 = a)."""
+    blocks = [
+        f".names {'a' if i == 1 else f'g{i - 1}'} b g{i}\n11 1"
+        for i in range(1, n + 1)
+    ]
+    if reverse:
+        blocks.reverse()
+    return (
+        f".model chain\n.inputs a b\n.outputs g{n}\n"
+        + "\n".join(blocks) + "\n.end\n"
+    )
+
+
+@st.composite
+def _blif_texts(draw):
+    """Small BLIF files whose blocks come in any order, with forward
+    references, duplicated and undefined names, and cycles."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 8)))]
+    pool = ["a", "b", "c"] + names
+    if draw(st.integers(0, 9)) == 0:
+        pool.append("ghost")  # an undefined name
+    blocks = []
+    defined = set()
+    for _ in range(draw(st.integers(1, 10))):
+        output = draw(st.sampled_from(names + ["a"]))
+        defined.add(output)
+        fanins = draw(st.lists(st.sampled_from(pool), max_size=3))
+        rows = draw(
+            st.lists(
+                st.text("01-", min_size=len(fanins), max_size=len(fanins)),
+                min_size=1, max_size=3,
+            )
+        )
+        cover = "\n".join(f"{row} 1" if fanins else "1" for row in rows)
+        blocks.append(f".names {' '.join(fanins + [output])}\n{cover}")
+    outputs = draw(
+        st.lists(st.sampled_from(sorted(defined)), min_size=1, max_size=3)
+    )
+    return (
+        ".model h\n.inputs a b c\n.outputs " + " ".join(outputs) + "\n"
+        + "\n".join(blocks) + "\n.end\n"
+    )
+
+
+class TestBlifReadOrder:
+    """The reader lowers blocks in the former sweeps' order, in one pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_blif_texts())
+    def test_same_mig_or_error_as_the_sweeps(self, text):
+        def read():
+            try:
+                return _structure(loads_blif(text))
+            except ParseError as error:
+                return str(error)
+
+        got = read()
+        with patch.object(blif, "_lower_blocks", _sweep_lower):
+            want = read()
+        assert got == want
+
+    def test_reversed_chain_gives_the_forward_mig(self):
+        forward = loads_blif(_and_chain(2000, reverse=False))
+        backward = loads_blif(_and_chain(2000, reverse=True))
+        assert forward.size == 2000
+        assert _structure(backward) == _structure(forward)
+
+    def test_two_block_cycle_raises(self):
+        text = (
+            ".model loop\n.inputs a\n.outputs x\n"
+            ".names a y x\n11 1\n.names a x y\n11 1\n.end\n"
+        )
+        with pytest.raises(ParseError, match="unresolved .names blocks"):
+            loads_blif(text)
 
 
 class TestVerilog:

@@ -11,6 +11,7 @@ oversized frames, disconnects mid-request, drain during active
 connections, and the queue-full wire round-trip.
 """
 
+import json
 import socket
 import struct
 import threading
@@ -35,7 +36,15 @@ from repro.errors import (
     SimulationError,
 )
 from repro.serve import SimulationClient, SimulationServer, SocketServer
-from repro.serve.net import HEADER, encode_frame, unwire_error, wire_error
+from repro.serve.codec import (
+    HEAD,
+    LENGTH,
+    MAGIC,
+    REPLIES,
+    REQUESTS,
+    unwire_error,
+    wire_error,
+)
 
 from helpers import build_adder_mig, build_random_mig
 
@@ -60,14 +69,20 @@ def _vectors(netlist_index: int, n_waves: int, seed: int):
 
 
 def _read_frame(sock_file):
-    header = sock_file.read(HEADER.size)
-    assert header is not None and len(header) == HEADER.size
-    (length,) = HEADER.unpack(header)
+    header = sock_file.read(LENGTH.size)
+    assert header is not None and len(header) == LENGTH.size
+    (length,) = LENGTH.unpack(header)
     payload = sock_file.read(length)
     assert payload is not None and len(payload) == length
-    import pickle
+    return REPLIES.decode(payload)
 
-    return pickle.loads(payload)
+
+def _raw_frame(meta: dict) -> bytes:
+    """A frame whose metadata is *meta* as is: the codec's encoder would
+    refuse to build a message of an unknown kind."""
+    body = json.dumps(meta).encode()
+    payload = HEAD.pack(MAGIC, len(body)) + body
+    return LENGTH.pack(len(payload)) + payload
 
 
 class _Tier:
@@ -227,7 +242,7 @@ class TestTypedErrorsRoundTrip:
 class TestProtocolUnhappyPaths:
     def test_partial_frame_then_disconnect_leaves_server_healthy(self, tier):
         raw = tier.raw()
-        raw.sendall(HEADER.pack(1024) + b"\x00" * 10)  # truncated payload
+        raw.sendall(LENGTH.pack(1024) + b"\x00" * 10)  # truncated payload
         raw.close()
         with tier.client() as client:
             assert client.simulate(
@@ -236,8 +251,8 @@ class TestProtocolUnhappyPaths:
 
     def test_garbage_frame_answers_fatal_and_closes(self, tier):
         raw = tier.raw()
-        body = b"not a pickle"
-        raw.sendall(HEADER.pack(len(body)) + body)
+        body = b"not a codec message"
+        raw.sendall(LENGTH.pack(len(body)) + body)
         reply = _read_frame(raw.makefile("rb"))
         assert reply[0] == "fatal"
         assert reply[1] == "protocol"
@@ -248,7 +263,7 @@ class TestProtocolUnhappyPaths:
         raw = tier.raw()
         # claim a frame far above the limit: the server must answer
         # fatal from the header alone, without allocating the payload
-        raw.sendall(HEADER.pack(2**31 - 1))
+        raw.sendall(LENGTH.pack(2**31 - 1))
         reply = _read_frame(raw.makefile("rb"))
         assert reply[0] == "fatal"
         assert "exceeds" in reply[2]
@@ -261,7 +276,11 @@ class TestProtocolUnhappyPaths:
 
     def test_unknown_message_kind_is_fatal(self, tier):
         raw = tier.raw()
-        raw.sendall(encode_frame(("teleport", 1)))
+        raw.sendall(
+            _raw_frame(
+                {"kind": "teleport", "fields": {"tag": 1}, "buffers": []}
+            )
+        )
         reply = _read_frame(raw.makefile("rb"))
         assert reply == ("fatal", "protocol", "unknown message kind 'teleport'")
         raw.close()
@@ -269,7 +288,7 @@ class TestProtocolUnhappyPaths:
     def test_unknown_token_answers_miss(self, tier):
         raw = tier.raw()
         raw.sendall(
-            encode_frame(
+            REQUESTS.frame(
                 ("submit", 7, 99, None, [1], [], None, None, None)
             )
         )
@@ -278,11 +297,30 @@ class TestProtocolUnhappyPaths:
         raw.close()
         assert tier.net.health()["net"]["netlist_misses"] == 1
 
+    def test_an_invalid_phase_count_is_refused_typed(self, tier):
+        """A clocking the engine refuses answers like a local call's
+        SimulationError, and the connection stays usable."""
+        netlist = _netlists()[0]
+        raw = tier.raw()
+        reader = raw.makefile("rb")
+        raw.sendall(
+            REQUESTS.frame(
+                ("submit", 3, 1, netlist, [1], [[]], 1, None, None)
+            )
+        )
+        assert _read_frame(reader)[:3] == ("rejected", 3, "simulation")
+        raw.sendall(REQUESTS.frame(("s_open", 4, 1, netlist, 0, None)))
+        assert _read_frame(reader)[:3] == ("s_open_failed", 4, "simulation")
+        raw.sendall(REQUESTS.frame(("ping", 5)))
+        assert _read_frame(reader) == ("pong", 5)
+        raw.close()
+        assert tier.net.health()["net"]["protocol_errors"] == 0
+
     def test_mismatched_ids_and_streams_is_fatal(self, tier):
         netlist = _netlists()[0]
         raw = tier.raw()
         raw.sendall(
-            encode_frame(
+            REQUESTS.frame(
                 ("submit", 3, 1, netlist, [1, 2], [], None, None, None)
             )
         )
@@ -292,7 +330,7 @@ class TestProtocolUnhappyPaths:
 
     def test_ping_pong(self, tier):
         raw = tier.raw()
-        raw.sendall(encode_frame(("ping", 42)))
+        raw.sendall(REQUESTS.frame(("ping", 42)))
         assert _read_frame(raw.makefile("rb")) == ("pong", 42)
         raw.close()
 

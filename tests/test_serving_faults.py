@@ -770,7 +770,7 @@ class _FakeProcess:
 
 
 class _FakeConn:
-    def send(self, message) -> None:
+    def send_bytes(self, payload) -> None:
         pass
 
     def close(self) -> None:

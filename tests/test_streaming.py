@@ -81,11 +81,11 @@ def _expected_reports(netlist, schedule, seed=0, **solo_kwargs):
     start = 0
     for count in schedule:
         if count == 0:
-            expected.append(_empty_report(depth))
+            expected.append(_empty_report(depth, netlist.n_outputs))
         else:
             expected.append(
                 WaveSimulationReport(
-                    outputs=solo.outputs[start:start + count],
+                    bits=solo.bits[start:start + count],
                     latency_steps=depth,
                     steps_run=None,  # filled by _check_report below
                     waves_injected=count,
