@@ -67,8 +67,8 @@ QUICK_CASES = (
     (("ctrl", "i2c"), 48, 16, 48, 2, 2, True),
 )
 
-#: Closed-loop trials per case; the best sustained rate is kept (the
-#: load generator shares one core with the server in CI).
+#: Closed-loop trials per case, and solo passes; the best rate of each
+#: is kept (the load generator shares one core with the server in CI).
 TRIALS = 3
 
 
@@ -112,12 +112,16 @@ def bench_case(
     ]
     for netlist, warm in zip(netlists, warm_streams):
         simulate_waves_packed(netlist, warm, clocking=clocking)
-    solo_started = time.perf_counter()
-    solo = [
-        simulate_waves_packed(model, stream, clocking=clocking)
-        for model, stream in zip(models, requests)
-    ]
-    solo_seconds = time.perf_counter() - solo_started
+    # best of TRIALS solo passes, as the served rate is the best of
+    # TRIALS runs: one short pass swings with host noise
+    solo_seconds = float("inf")
+    for _ in range(TRIALS):
+        solo_started = time.perf_counter()
+        solo = [
+            simulate_waves_packed(model, stream, clocking=clocking)
+            for model, stream in zip(models, requests)
+        ]
+        solo_seconds = min(solo_seconds, time.perf_counter() - solo_started)
     solo_rate = total_waves / solo_seconds
     oracle_identical = None
     if oracle_check:

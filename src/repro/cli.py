@@ -242,8 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject seeded chaos into the dispatch path, e.g. "
         "'crash=0.1,hang=0.05,slow=0.2,slow-s=0.01' (keys: crash/"
         "crash-mid, crash-pre, eof, hang, slow; delays slow-s/hang-s; "
-        "'seed=N' overrides --fault-seed).  The printed seed line "
-        "replays the exact fault schedule",
+        "'seed=N' overrides --fault-seed).  Process shards suffer every "
+        "kind; with thread shards slow sleeps, hang is skipped, and a "
+        "worker-killing kind fails its batch typed or makes a session "
+        "replay its feed log.  The printed seed line replays the exact "
+        "fault schedule",
     )
     serve.add_argument(
         "--fault-seed", type=int, default=0, metavar="N",

@@ -27,6 +27,11 @@ from ...errors import SimulationError
 #: Phase count of the paper's clocking scheme (Fig. 4).
 PAPER_PHASES = 3
 
+#: Largest accepted phase count.  Compilation sizes per-phase tables by
+#: the phase count, so a count from outside the program (a socket
+#: frame) must be bounded before it reaches the engine.
+MAX_PHASES = 64
+
 
 @dataclass(frozen=True)
 class ClockingScheme:
@@ -38,7 +43,8 @@ class ClockingScheme:
         Number of clock phases; the paper uses 3.  At least 2 phases are
         required so that a cell's inputs are stable while it latches
         ("data regeneration is reciprocal and only the immediately
-        neighboring cells are affected").
+        neighboring cells are affected"), and at most
+        :data:`MAX_PHASES`.
     """
 
     n_phases: int = PAPER_PHASES
@@ -47,6 +53,11 @@ class ClockingScheme:
         if self.n_phases < 2:
             raise SimulationError(
                 f"a regeneration clock needs >= 2 phases, got {self.n_phases}"
+            )
+        if self.n_phases > MAX_PHASES:
+            raise SimulationError(
+                f"a regeneration clock has at most {MAX_PHASES} phases, "
+                f"got {self.n_phases}"
             )
 
     def phase_of_level(self, level: int) -> int:

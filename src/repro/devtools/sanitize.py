@@ -47,6 +47,7 @@ from .report import Finding
 #: Modules whose ``threading`` binding the shim replaces.
 TARGET_MODULES = (
     "repro.serve.server",
+    "repro.serve.core",
     "repro.serve.metrics",
     "repro.serve.batcher",
     "repro.serve.shards",

@@ -736,7 +736,6 @@ WORKER_REQUESTS = Channel(
             ("fault", FAULT),
         ),
         "s_close": (("session_id", STR), ("drain", BOOL)),
-        "ping": (),
         "stop": (),
     },
 )
@@ -749,7 +748,6 @@ WORKER_REPLIES = Channel(
         "error": _ERROR,
         "miss": (("key", KEY),),
         "s_lost": (("session_id", STR),),
-        "pong": (("pid", INT),),
     },
 )
 

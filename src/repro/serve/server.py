@@ -50,15 +50,19 @@ them); pending groups are drained earliest-deadline-first whenever any
 queued request carries a deadline (see
 :meth:`~repro.serve.queue.RequestQueue.next_key`).
 
-**Thread or process shards.**  By default the server is *thread*-sharded:
-the packed kernels spend their time in numpy ufuncs that release the
-GIL, so independent groups overlap on multicore hosts and one shared
+**Thread or process shards.**  Every batch and session step is one
+message to a :class:`~repro.serve.core.ShardCore`, the only code here
+that calls the packed engine, through one transport the server holds.
+By default the server is *thread*-sharded: the shard threads call one
+shared core in process (:class:`~repro.serve.core.InProcessPool`); the
+packed kernels spend their time in numpy ufuncs that release the GIL,
+so independent groups overlap on multicore hosts and one shared
 compiled-plan cache serves every shard.  ``process_shards=N`` escapes
-the GIL entirely: batches are routed (sticky per netlist group) to a
-:class:`~repro.serve.shards.ProcessShardPool` of worker processes over
-the numpy wire format, each worker holding its own compile cache; dead
-workers are respawned and their batch retried, bit-identically.  The
-batcher, deadline logic, and metrics stay in the parent either way.
+the GIL entirely: the same messages are routed (sticky per netlist
+group) to a :class:`~repro.serve.shards.ProcessShardPool` of worker
+processes, each a pipe loop around its own core and compile cache;
+dead workers are respawned and their batch retried, bit-identically.
+The batcher, deadline logic, and metrics stay in the parent either way.
 
 **Supervision and chaos.**  Process shards are supervised (see
 :mod:`repro.serve.shards` and :mod:`repro.serve.supervisor`): hung
@@ -67,10 +71,14 @@ respawns back off exponentially, a crash-looping slot's circuit breaker
 takes it out of rotation (sticky groups reroute to the next healthy
 slot), and a batch that exhausts its retry budget is quarantined — only
 its futures fail, with :class:`~repro.errors.ShardFailed`, while the
-server keeps serving.  :meth:`SimulationServer.health` snapshots the
-whole story; a seeded :class:`~repro.serve.faults.FaultPlan` (``faults=``
-here, ``--faults`` on the serve bench) injects reproducible chaos
-through the same paths; :func:`graceful_drain` turns SIGTERM into
+server keeps serving.  A seeded :class:`~repro.serve.faults.FaultPlan`
+(``faults=`` here, ``--faults`` on the serve bench) injects
+reproducible chaos at one site per dispatch in either transport: once
+per batch and once per session feed.  With thread shards a fault that
+would kill a worker fails its batch with ``ShardFailed`` and makes a
+session replay its feed log, exactly as a lost worker does.
+:meth:`SimulationServer.health` snapshots the whole story;
+:func:`graceful_drain` turns SIGTERM into
 serve-everything-admitted-then-stop.
 """
 
@@ -86,15 +94,10 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.wavepipe.batch import (
-    PackedSession,
-    open_packed_session,
-    simulate_streams_packed,
-)
 from ..core.wavepipe.clocking import ClockingScheme
 from ..core.wavepipe.components import WaveNetlist
 from ..core.wavepipe.kernels import compile_netlist
@@ -117,10 +120,11 @@ from .batcher import (
     Batcher,
     adaptive_max_batch_waves,
 )
+from .core import InProcessPool, SessionWorkerLost
 from .faults import FaultPlan
 from .metrics import ServerMetrics
 from .queue import GroupKey, RequestQueue, SimulationRequest, WaveStream
-from .shards import ProcessShardPool, SessionWorkerLost
+from .shards import ProcessShardPool
 from .supervisor import SupervisorConfig
 
 #: Default bound on admitted-but-undispatched requests (backpressure).
@@ -200,10 +204,12 @@ class SimulationServer:
         detection; worker *death* is always detected promptly).
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` — seeded chaos
-        injected into the dispatch path (process shards exercise the
-        full kill/hang/EOF surface; thread shards degrade to
-        slow/``ShardFailed`` stand-ins).  Testing and benchmarking
-        only.
+        injected into the dispatch path.  Process shards exercise the
+        full kill/hang/EOF surface.  With thread shards ``slow`` sleeps,
+        ``hang`` is skipped, and a worker-killing fault fails its batch
+        with :class:`~repro.errors.ShardFailed` or drops a session's
+        engine state, which the session rebuilds by feed-log replay.
+        Testing and benchmarking only.
     supervision:
         :class:`~repro.serve.supervisor.SupervisorConfig` overriding
         the process-shard backoff/breaker/retry-budget policy.
@@ -294,14 +300,13 @@ class SimulationServer:
         self._sessions: "dict[str, ServerSession]" = {}
         self._session_seq = itertools.count(1)
         self.metrics = ServerMetrics()
-        self._faults = faults
         # pin the warm netlists: the compile cache is weak-keyed and
         # the pool's warm keys embed object ids, so the server must
         # hold strong references for as long as it may serve them
         self._warm_netlists: list[WaveNetlist] = list(warm_netlists or [])
         for netlist in self._warm_netlists:
             compile_netlist(netlist, self._clocking)
-        self._pool: Optional[ProcessShardPool] = None
+        self._pool: "ProcessShardPool | InProcessPool"
         if process_shards:
             self._pool = ProcessShardPool(
                 int(process_shards),
@@ -314,6 +319,8 @@ class SimulationServer:
                 warm_netlists=self._warm_netlists,
                 warm_n_phases=self._clocking.n_phases,
             )
+        else:
+            self._pool = InProcessPool(faults)
         if start:
             self.start()
 
@@ -383,16 +390,14 @@ class SimulationServer:
             # lock, so the graceful pool close below could hang behind
             # it — tear the workers down without taking any lock, then
             # report the stuck shard(s)
-            if self._pool is not None:
-                self._pool.kill()
+            self._pool.kill()
             raise ServeError(
                 f"shard {', '.join(stuck)} did not stop within "
                 f"{timeout}s"
             )
-        if self._pool is not None:
-            # after the shard threads joined no batch is in flight, so
-            # the workers are idle and stop gracefully
-            self._pool.close(timeout)
+        # after the shard threads joined no batch is in flight, so the
+        # workers are idle and stop gracefully
+        self._pool.close(timeout)
 
     def stop(
         self, *, drain: bool = True, timeout: Optional[float] = None
@@ -445,15 +450,13 @@ class SimulationServer:
         with self._lock:
             sessions = list(self._sessions.values())
         snapshot: dict[str, object] = {
-            "mode": "process" if self._pool is not None else "thread",
+            "mode": self._pool.mode,
             "closed": self.closed,
             "pending": self.pending,
             "metrics": self.metrics.snapshot(),
             "sessions": [session.metrics() for session in sessions],
-            "workers": [],
         }
-        if self._pool is not None:
-            snapshot.update(self._pool.health())
+        snapshot.update(self._pool.health())
         return snapshot
 
     # ------------------------------------------------------------------
@@ -861,42 +864,13 @@ class SimulationServer:
             return
         try:
             plan = self._batcher.plan(batch)
-            streams = [request.vectors for request in live]
-            if self._pool is not None:
-                reports = self._pool.simulate(
-                    batch.netlist,
-                    streams,
-                    n_phases=batch.clocking.n_phases,
-                    pipelined=batch.pipelined,
-                    route_key=batch.key,
-                )
-            else:
-                if self._faults is not None:
-                    # thread-mode fault site: there is no worker process
-                    # to kill, so the process-fatal kinds degrade to a
-                    # typed ShardFailed on this batch (the futures-
-                    # resolve-with-typed-errors contract is exercised
-                    # even without process shards); "slow" sleeps,
-                    # "hang" has no thread-mode analogue (a shard
-                    # thread cannot be reaped) and is skipped
-                    fault = self._faults.next_fault(route_key=batch.key)
-                    if fault is not None:
-                        if fault.kind == "slow":
-                            time.sleep(fault.delay_s)
-                        elif fault.kind != "hang":
-                            raise ShardFailed(
-                                f"injected {fault.kind} fault "
-                                "(thread-mode stand-in for a worker "
-                                "crash)"
-                            )
-                reports = simulate_streams_packed(
-                    batch.netlist,
-                    streams,
-                    clocking=batch.clocking,
-                    pipelined=batch.pipelined,
-                    strict=False,
-                    validate=False,  # every stream validated at submit
-                )
+            reports = self._pool.simulate(
+                batch.netlist,
+                [request.vectors for request in live],
+                n_phases=batch.clocking.n_phases,
+                pipelined=batch.pipelined,
+                route_key=batch.key,
+            )
         except BaseException as error:  # resolve futures, never kill a shard
             for request in live:
                 request.future.set_exception(error)
@@ -947,13 +921,14 @@ class ServerSession:
     Execution model: each session owns a dispatcher thread draining its
     own FIFO — feeds of one session are strictly ordered (the state is
     cumulative), while different sessions run concurrently on their own
-    workers.  With process shards the engine lives worker-side, sticky
-    to one slot (``hash(route key) % n_workers``); in thread mode it
-    lives on the dispatcher thread itself.  A feed dequeued with more
-    feeds behind it is *pumped* (inject only — the pipeline stays warm);
-    a feed that empties the queue is *flushed* so its future resolves
-    promptly — a blocking feed-then-wait client never deadlocks, and a
-    pipelined client keeps the engine hot.
+    workers.  The engine lives in a :class:`~repro.serve.core.ShardCore`:
+    with process shards in a worker process, sticky to one slot
+    (``hash(route key) % n_workers``); with thread shards in the
+    server's own core, stepped on the dispatcher thread.  A feed
+    dequeued with more feeds behind it is *pumped* (inject only — the
+    pipeline stays warm); a feed that empties the queue is *flushed* so
+    its future resolves promptly — a blocking feed-then-wait client
+    never deadlocks, and a pipelined client keeps the engine hot.
 
     Supervision: losing the worker mid-session (crash, hang, injected
     chaos) does not lose the stream — the session keeps a **feed log**
@@ -1001,23 +976,7 @@ class ServerSession:
         # open the engine before the dispatcher exists, so open-time
         # errors (unbalanced netlist, depth 0) raise synchronously from
         # open_stream with their engine types
-        self._engine: Optional[PackedSession] = None
-        self._slot: Optional[int] = None
-        if server._pool is not None:
-            self._slot = server._pool.session_open(
-                session_id,
-                netlist,
-                n_phases=clocking.n_phases,
-                pipelined=pipelined,
-                route_key=self._route,
-            )
-        else:
-            self._engine = open_packed_session(
-                netlist,
-                clocking=clocking,
-                pipelined=pipelined,
-                validate=False,  # feeds validate in the caller's thread
-            )
+        self._slot = self._open()
         self._thread = threading.Thread(
             target=self._run,
             name=f"repro-serve-{session_id}",
@@ -1148,7 +1107,7 @@ class ServerSession:
             fed_waves = self._fed_waves
         return {
             "session_id": self.session_id,
-            "mode": "thread" if self._engine is not None else "process",
+            "mode": self._server._pool.mode,
             "slot": self._slot,
             "feeds": n_feeds,
             "waves": fed_waves,
@@ -1209,19 +1168,10 @@ class ServerSession:
         self._sent.append(item)
         self._log.append(item.block)
         try:
-            if self._engine is not None:
-                self._engine.feed(item.block)  # type: ignore[arg-type]
-                if flush:
-                    self._engine.flush()
-                    done = self._engine.take_done()
-                else:
-                    # pump() consumes the take_done cursor itself
-                    done = self._engine.pump()
-                pairs: list = [
-                    (handle.index, handle.report) for handle in done
-                ]
-            else:
-                pairs = self._dispatch_feed(item.block, flush)
+            pairs = self._dispatch(
+                lambda: self._feed(item.block, flush),
+                replay=len(self._log) - 1,
+            )
         except BaseException as error:
             # the engine (or the pool, past its replay budget) refused
             # the feed; whether the block was applied is unknowable, so
@@ -1257,25 +1207,51 @@ class ServerSession:
                 self._sent[index] = _DELIVERED
                 item.future.set_result(report)
 
-    def _dispatch_feed(self, block: object, flush: bool) -> list:
-        pool = self._server._pool
-        assert pool is not None and self._slot is not None
+    def _open(self) -> int:
+        """Open (or re-open) the engine session; returns its slot."""
+        return self._server._pool.session_open(
+            self.session_id,
+            self._netlist,
+            n_phases=self._clocking.n_phases,
+            pipelined=self._pipelined,
+            route_key=self._route,
+        )
+
+    def _feed(self, block: object, flush: bool) -> list:
+        """One feed; returns the newly resolved (index, report) pairs."""
+        return self._server._pool.session_feed(
+            self.session_id,
+            self._slot,
+            block,
+            flush=flush,
+            route_key=self._route,
+        )
+
+    def _dispatch(self, call: Callable[[], list], replay: int) -> list:
+        """Return *call*'s result, rebuilding the session after each loss.
+
+        *call* is one feed or the draining close.  After it loses the
+        engine session (:class:`~repro.serve.core.SessionWorkerLost`),
+        the checkpoint is the feed log itself: a fresh session is
+        opened, the first *replay* logged blocks — every feed before
+        the one in flight — are re-fed in order, and *call* runs again.
+        Kernel determinism makes the replay **bit-identical** to the
+        uninterrupted run: reports that already resolved re-resolve to
+        equal values (and :meth:`_apply` drops them); unresolved feeds
+        pick up exactly where they were.  A loss mid-replay is one more
+        counted attempt; past :data:`SESSION_REPLAY_BUDGET` losses the
+        session is quarantined with :class:`~repro.errors.ShardFailed`.
+        """
         attempts = 0
-        replay_upto: Optional[int] = None
         while True:
             try:
-                # the replay runs *inside* the try: a worker lost mid
-                # -replay is one more counted attempt, not an escape
-                if replay_upto is not None:
-                    self._replay(replay_upto)
-                    replay_upto = None
-                return pool.session_feed(
-                    self.session_id,
-                    self._slot,
-                    block,
-                    flush=flush,
-                    route_key=self._route,
-                )
+                if attempts:
+                    self._replays += 1
+                    self._server.metrics.record_session_replay()
+                    self._slot = self._open()
+                    for block in self._log[:replay]:
+                        self._apply(self._feed(block, flush=False))
+                return call()
             except SessionWorkerLost as lost:
                 attempts += 1
                 if attempts > SESSION_REPLAY_BUDGET:
@@ -1285,91 +1261,28 @@ class ServerSession:
                         "session quarantined — only this stream fails, "
                         "the server keeps serving"
                     ) from None
-                replay_upto = len(self._log) - 1
-
-    def _dispatch_close(self) -> list:
-        pool = self._server._pool
-        assert pool is not None and self._slot is not None
-        attempts = 0
-        replay = False
-        while True:
-            try:
-                if replay:
-                    self._replay(len(self._log))
-                    replay = False
-                return pool.session_close(
-                    self.session_id, self._slot, drain=True
-                )
-            except SessionWorkerLost as lost:
-                attempts += 1
-                if attempts > SESSION_REPLAY_BUDGET:
-                    raise ShardFailed(
-                        f"session {self.session_id} lost its worker "
-                        f"{attempts} times during drain (last: "
-                        f"{lost.reason}); session quarantined"
-                    ) from None
-                replay = True
-
-    def _replay(self, upto: int) -> None:
-        """Rebuild the worker-side session from the first *upto* feeds.
-
-        The checkpoint is the feed log itself: a fresh worker session is
-        opened on a healthy slot and every logged block is re-fed in
-        order.  Kernel determinism makes the replay **bit-identical** to
-        the uninterrupted run — reports that already resolved before the
-        loss re-resolve to equal values (and are dropped by
-        :meth:`_apply`); unresolved feeds pick up exactly where they
-        were.  A loss *during* the replay propagates to the caller's
-        retry loop, which counts it against the replay budget.
-        """
-        pool = self._server._pool
-        assert pool is not None
-        self._replays += 1
-        self._server.metrics.record_session_replay()
-        self._slot = pool.session_open(
-            self.session_id,
-            self._netlist,
-            n_phases=self._clocking.n_phases,
-            pipelined=self._pipelined,
-            route_key=self._route,
-        )
-        for block in self._log[:upto]:
-            pairs = pool.session_feed(
-                self.session_id,
-                self._slot,
-                block,
-                flush=False,
-                route_key=self._route,
-            )
-            self._apply(pairs)
 
     def _finish(self, drain: bool) -> None:
         """Close the engine and resolve whatever is still unresolved."""
         error: Optional[BaseException] = None
+        pool = self._server._pool
         try:
             if drain and self._broken is None:
-                if self._engine is not None:
-                    self._engine.close()
-                    self._apply(
-                        [
-                            (handle.index, handle.report)
-                            for handle in self._engine.take_done()
-                        ]
+                self._apply(
+                    self._dispatch(
+                        lambda: pool.session_close(
+                            self.session_id, self._slot, drain=True
+                        ),
+                        replay=len(self._log),
                     )
-                else:
-                    self._apply(self._dispatch_close())
+                )
             else:
-                if self._engine is not None:
-                    self._engine.discard()
-                elif self._server._pool is not None:
-                    try:
-                        self._server._pool.session_close(
-                            self.session_id,
-                            self._slot if self._slot is not None else 0,
-                            drain=False,
-                        )
-                    except (SessionWorkerLost, ServeError):
-                        pass  # an undrained close has nothing to lose
+                try:
+                    pool.session_close(
+                        self.session_id, self._slot, drain=False
+                    )
+                except (SessionWorkerLost, ServeError):
+                    pass  # an undrained close has nothing to lose
         except BaseException as caught:
             error = caught
         leftover: BaseException = (

@@ -10,6 +10,12 @@ OS process with its own interpreter, GIL, and
 
 Design
 ------
+* **One execution core.**  A worker is a pipe loop around one
+  :class:`~repro.serve.core.ShardCore`: it decodes a message, executes
+  the message's fault directive, and sends back the core's reply.
+  Thread shards run the same core in process
+  (:class:`~repro.serve.core.InProcessPool`), so this module holds only
+  the transport: pipes, routing, and supervision.
 * **Wire format.**  The serve package is transport-agnostic by design —
   a request's payload is one ``(waves, inputs)`` bool block (or an empty
   list), exactly what :func:`~repro.core.wavepipe.batch.
@@ -74,20 +80,19 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from types import TracebackType
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..core.wavepipe.components import WaveNetlist
 from ..errors import ServeError, ShardFailed
 from .codec import WORKER_REPLIES, WORKER_REQUESTS, unwire_error, wire_error
+from .core import WORKER_NETLIST_CACHE, SessionWorkerLost, ShardCore
 from .faults import FaultPlan
 from .queue import WaveStream
 from .supervisor import SupervisorConfig, WorkerSupervisor
 
-#: Worker-side cap on cached netlists (serving netlist churn must not
-#: grow a worker without bound; eviction only costs a re-ship).
-WORKER_NETLIST_CACHE = 32
+_T = TypeVar("_T")
 
 #: Seconds a graceful worker shutdown may take before escalating to
 #: terminate()/kill().
@@ -106,45 +111,18 @@ def _post(conn: Connection, message: tuple) -> None:
 
 
 def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a child
-    """Loop of one shard process: receive batches, simulate, reply.
+    """Loop of one shard process: a pipe around one :class:`ShardCore`.
+
+    Each message is decoded, its fault directive (``run`` and
+    ``s_feed`` carry one) is executed worker-side so that injected
+    chaos is indistinguishable from the real thing, and the core's
+    reply goes back in one ``send_bytes`` — an exception as its
+    wire-error pair.  ``warm`` has no reply.
 
     (Excluded from coverage measurement: this body runs in spawned
     child processes, outside the parent's coverage tracer.)
     """
-    # the engine entry points, imported inside the child that runs them
-    from ..core.wavepipe.batch import (
-        open_packed_session,
-        simulate_streams_packed,
-    )
-    from ..core.wavepipe.clocking import ClockingScheme
-    from ..core.wavepipe.kernels import compile_netlist
-
-    netlists: "OrderedDict[tuple, object]" = OrderedDict()
-    sessions: dict = {}  # session id -> PackedSession (worker-side state)
-
-    def _send_reply(reply: tuple) -> bool:
-        try:
-            conn.send_bytes(WORKER_REPLIES.encode(reply))
-            return True
-        except OSError:
-            return False  # pipe gone: the parent is closing or died
-
-    def _run_fault(fault: object) -> None:
-        # injected chaos (see serve/faults.py): executed worker-side so
-        # the failure is indistinguishable from the real thing
-        if fault is None:
-            return
-        name, delay = fault  # type: ignore[misc]
-        if name == "crash":
-            os._exit(13)  # mid-batch death: no reply, no cleanup
-        if name == "eof":
-            conn.close()  # clean pipe EOF without a reply
-            os._exit(0)
-        if name in ("hang", "slow"):
-            # a hang is a slow whose delay outlives the dispatch
-            # timeout: the parent reaps us mid-sleep
-            time.sleep(float(delay))
-
+    core = ShardCore()
     while True:
         try:
             payload = conn.recv_bytes()
@@ -155,132 +133,26 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
         if kind == "stop":
             conn.close()
             return
-        if kind == "ping":
-            if not _send_reply(("pong", os.getpid())):
-                return
-            continue
-        if kind == "warm":
-            # ("warm", key, netlist, n_phases): cache the netlist and
-            # pre-compile its plan so the first real batch after a
-            # (re)spawn skips the compile miss.  Reply-less by design —
-            # warming happens while the parent carries on — and
-            # best-effort: a netlist that cannot compile simply fails
-            # later, at dispatch, with the engine's own typed error
-            _, key, netlist, n_phases = message
-            netlists[key] = netlist
-            netlists.move_to_end(key)
-            while len(netlists) > WORKER_NETLIST_CACHE:
-                netlists.popitem(last=False)
-            try:
-                compile_netlist(netlist, ClockingScheme(n_phases))
-            except Exception:
-                pass
-            continue
-        reply: tuple
-        if kind == "s_open":
-            # ("s_open", sid, netlist, n_phases, pipelined): create (or
-            # recreate, for a feed-log replay) the worker-side engine
-            # session.  The netlist is always shipped — sessions are
-            # long-lived, so the one-time encoding cost is amortized
-            # across every feed that follows.
-            _, sid, netlist, n_phases, pipelined = message
-            try:
-                stale = sessions.pop(sid, None)
-                if stale is not None:
-                    stale.discard()  # replay: throw away poisoned state
-                sessions[sid] = open_packed_session(
-                    netlist,
-                    clocking=ClockingScheme(n_phases),
-                    pipelined=pipelined,
-                    validate=False,  # validated in the parent at open time
-                )
-                reply = ("ok", None)
-            except BaseException as error:
-                reply = ("error", *wire_error(error))
-            if not _send_reply(reply):
-                return
-            continue
-        if kind == "s_feed":
-            # ("s_feed", sid, block, flush, fault) -> ("ok", [(feed
-            # index, report), ...]) listing every feed that *newly*
-            # resolved, or ("s_lost", sid) when this worker has no such
-            # session (a respawn ate the state): the parent replays the
-            # session's feed log.
-            _, sid, block, flush, fault = message
-            _run_fault(fault)
-            session = sessions.get(sid)
-            if session is None:
-                if not _send_reply(("s_lost", sid)):
-                    return
-                continue
-            try:
-                session.feed(block)
-                if flush:
-                    session.flush()
-                    done = session.take_done()
-                else:
-                    # pump() consumes the take_done cursor itself
-                    done = session.pump()
-                reply = ("ok", [(h.index, h.report) for h in done])
-            except BaseException as error:
-                reply = ("error", *wire_error(error))
-            if not _send_reply(reply):
-                return
-            continue
-        if kind == "s_close":
-            # ("s_close", sid, drain): drain resolves every remaining
-            # feed (reply lists them); an undrained close just drops the
-            # state.  An unknown sid is only a problem when draining —
-            # the parent must replay to reconstruct the reports.
-            _, sid, drain = message
-            session = sessions.pop(sid, None)
-            if session is None:
-                reply = ("s_lost", sid) if drain else ("ok", [])
-            else:
-                try:
-                    if drain:
-                        session.close()
-                        done = session.take_done()
-                        reply = ("ok", [(h.index, h.report) for h in done])
-                    else:
-                        session.discard()
-                        reply = ("ok", [])
-                except BaseException as error:
-                    reply = ("error", *wire_error(error))
-            if not _send_reply(reply):
-                return
-            continue
-        # ("run", key, netlist | None, n_phases, pipelined, streams, fault)
-        _, key, netlist, n_phases, pipelined, streams, fault = message
-        _run_fault(fault)
+        if kind in ("run", "s_feed") and message[-1] is not None:
+            name, delay = message[-1]
+            if name == "crash":
+                os._exit(13)  # mid-batch death: no reply, no cleanup
+            if name == "eof":
+                conn.close()  # clean pipe EOF without a reply
+                os._exit(0)
+            # hang or slow: a hang is a slow whose delay outlives the
+            # dispatch timeout, so the parent reaps us mid-sleep
+            time.sleep(float(delay))
         try:
-            if netlist is not None:
-                netlists[key] = netlist
-                netlists.move_to_end(key)  # re-ship of an old key
-                while len(netlists) > WORKER_NETLIST_CACHE:
-                    netlists.popitem(last=False)
-            cached = netlists.get(key)
-            if cached is None:
-                # cache desync (e.g. this side evicted the key while
-                # the parent still advertises it): ask for a re-ship
-                # instead of failing the batch
-                if not _send_reply(("miss", key)):
-                    return
-                continue
-            netlists.move_to_end(key)  # LRU hit
-            reports = simulate_streams_packed(
-                cached,
-                streams,
-                clocking=ClockingScheme(n_phases),
-                pipelined=pipelined,
-                strict=False,
-                validate=False,  # validated in the parent at submit time
-            )
-            reply = ("ok", reports)
+            reply = core.handle(message)
         except BaseException as error:
             reply = ("error", *wire_error(error))
-        if not _send_reply(reply):
-            return
+        if reply is None:
+            continue
+        try:
+            conn.send_bytes(WORKER_REPLIES.encode(reply))
+        except OSError:
+            return  # pipe gone: the parent is closing or died
 
 
 @dataclass
@@ -319,24 +191,6 @@ class _AttemptFailed(Exception):
 
 class _SlotUnavailable(Exception):
     """Internal: the chosen slot broke before the batch was dispatched."""
-
-
-class SessionWorkerLost(Exception):
-    """A streaming session's worker — and its engine state — was lost.
-
-    Raised by :meth:`ProcessShardPool.session_feed` /
-    :meth:`~ProcessShardPool.session_close` after the slot has been
-    respawned and accounted under supervision.  Deliberately *not* a
-    :class:`~repro.errors.ServeError`: it never reaches users.  The
-    serving layer catches it, re-opens the worker-side session, and
-    replays the session's feed log from scratch — bit-identical to the
-    uninterrupted run because the packed kernels are deterministic.
-    """
-
-    def __init__(self, slot: int, reason: str) -> None:
-        super().__init__(f"slot {slot}: {reason}")
-        self.slot = slot
-        self.reason = reason
 
 
 def _wire_streams(
@@ -401,6 +255,9 @@ class ProcessShardPool:
         dispatch-time ``n_phases`` for the warm plans to be the ones
         reused).
     """
+
+    #: ``health()["mode"]`` of a server on this transport.
+    mode = "process"
 
     def __init__(
         self,
@@ -615,9 +472,7 @@ class ProcessShardPool:
 
     def _respawn_slot(self, index: int) -> _Worker:
         """Spawn a fresh worker into *index* (caller holds its lock slot)."""
-        with self._state_lock:
-            if self._closed:
-                raise ServeError("process shard pool is closed")
+        self._check_open()
         old = self._workers[index]
         fresh = self._spawn()
         # carry the in-flight dispatch lock over: the caller already
@@ -629,13 +484,38 @@ class ProcessShardPool:
             self._on_restart()
         return fresh
 
+    def _fail_slot(self, index: int) -> Optional[_Worker]:
+        """Account a slot failure, then respawn the slot or break it.
+
+        The failure joins the slot's streak; the slot is respawned
+        after its exponential backoff or — when the streak opens the
+        circuit breaker — left dead for routing to skip.  Returns the
+        fresh worker, or ``None`` when the slot was left dead or the
+        pool closed mid-recovery (the caller's loop then observes the
+        closed pool).
+        """
+        backoff_s, opened = self._supervisor.record_failure(
+            index, time.monotonic()
+        )
+        self._reap_slot(index)
+        if opened:
+            if self._on_breaker_open is not None:
+                self._on_breaker_open()
+            return None
+        if backoff_s > 0.0:
+            time.sleep(backoff_s)
+        try:
+            return self._respawn_slot(index)
+        except ServeError:
+            return None
+
     def _revive(self, index: int) -> _Worker:
         """Replace a worker found dead *at dispatch* (crash-between-
         batches discovery): the death counts toward the slot's failure
         streak and backoff, but not toward any batch's retry budget —
         no batch was in flight when it died.  Raises
-        :class:`_SlotUnavailable` when the streak opens the breaker
-        (the caller reroutes instead of respawning a crash-looper).
+        :class:`_SlotUnavailable` when the slot is left dead (the
+        caller reroutes instead of respawning a crash-looper).
         """
         if self._supervisor.breaker_open(index):
             # a breaker-open slot is deliberately left dead, so finding
@@ -644,54 +524,31 @@ class ProcessShardPool:
             # is the dispatch that follows
             self._reap_slot(index)
             return self._respawn_slot(index)
-        backoff_s, opened = self._supervisor.record_failure(
-            index, time.monotonic()
-        )
-        self._reap_slot(index)
-        if opened:
-            if self._on_breaker_open is not None:
-                self._on_breaker_open()
-            raise _SlotUnavailable(f"slot {index} breaker opened")
-        if backoff_s > 0.0:
-            time.sleep(backoff_s)
-        return self._respawn_slot(index)
+        worker = self._fail_slot(index)
+        if worker is None:
+            raise _SlotUnavailable(f"slot {index} was left dead")
+        return worker
 
-    def _fail_slot(self, index: int, reason: str) -> None:
-        """Handle a slot failure *under a batch*: respawn or break.
+    def _exchange(
+        self, index: int, worker: _Worker, message: tuple
+    ) -> Tuple[str, Any]:
+        """Post *message* to slot *index*'s worker and await its reply.
 
-        Accounts the failure with the supervisor, then either respawns
-        the slot after its exponential backoff or — when the streak
-        opens the circuit breaker — leaves it dead for routing to skip.
-        Either way the caller's batch retries (within its budget) via
-        a fresh :meth:`_attempt`.
+        The caller holds the slot's lock.  The wait is a sequence of
+        :data:`POLL_TICK_S` polls, never an indefinite ``recv``, so
+        within one tick it detects a reply, worker death without EOF,
+        pipe EOF or reset, and — when ``dispatch_timeout_s`` is set — a
+        hung worker, which is SIGKILL-reaped.  A lost worker raises
+        :class:`_AttemptFailed`.  Any reply shows the worker alive and
+        counts as the slot's success; an ``error`` reply then re-raises
+        as the in-process engine would have raised it.
         """
-        backoff_s, opened = self._supervisor.record_failure(
-            index, time.monotonic()
-        )
-        self._reap_slot(index)
-        if opened:
-            if self._on_breaker_open is not None:
-                self._on_breaker_open()
-            return
-        if backoff_s > 0.0:
-            time.sleep(backoff_s)
         try:
-            self._respawn_slot(index)
-        except ServeError:
-            # pool closed mid-recovery: leave the slot dead; the retry
-            # loop will observe the closed pool and fail the batch
-            pass
-
-    def _receive(self, index: int, worker: _Worker) -> Tuple[str, object]:
-        """Await one reply via bounded polls; never an indefinite recv.
-
-        Returns ``(status, payload)``; an ``error`` reply's payload is
-        its decoded typed exception, for the caller to raise.  Detects,
-        within one :data:`POLL_TICK_S` tick: a reply (returned),
-        worker death without EOF (``_AttemptFailed``), pipe EOF/reset
-        (``_AttemptFailed``), and — when ``dispatch_timeout_s`` is set —
-        a hung worker, which is SIGKILL-reaped before the attempt fails.
-        """
+            _post(worker.conn, message)
+        except (OSError, ValueError):
+            raise _AttemptFailed(
+                f"worker pipe closed at {message[0]}"
+            ) from None
         timeout_s = self._dispatch_timeout_s
         deadline_at = (
             None if timeout_s is None else time.monotonic() + timeout_s
@@ -716,10 +573,8 @@ class ProcessShardPool:
                 tick = min(tick, max(0.0, remaining))
             try:
                 if worker.conn.poll(tick):
-                    message = WORKER_REPLIES.decode(worker.conn.recv_bytes())
-                    if message[0] == "error":
-                        return "error", unwire_error(message[1], message[2])
-                    return message[0], message[1]
+                    reply = WORKER_REPLIES.decode(worker.conn.recv_bytes())
+                    break
             except (EOFError, BrokenPipeError, ConnectionResetError,
                     OSError):
                 raise _AttemptFailed(
@@ -728,81 +583,78 @@ class ProcessShardPool:
             if not worker.process.is_alive() and not worker.conn.poll(0):
                 # dead with no reply left in the pipe buffer
                 raise _AttemptFailed("worker died under the batch")
+        self._supervisor.record_success(index)
+        if reply[0] == "error":
+            raise unwire_error(reply[1], reply[2])
+        return reply[0], reply[1]
 
-    def _attempt(
+    def _check_open(self) -> None:
+        with self._state_lock:
+            if self._closed:
+                raise ServeError("process shard pool is closed")
+
+    def _supervised(
         self,
-        index: int,
-        key: tuple,
-        netlist: WaveNetlist,
-        wire: list,
-        n_phases: int,
-        pipelined: bool,
         route: object,
-    ) -> list:
-        """One dispatch attempt on slot *index* (its lock is held).
+        what: str,
+        attempt: Callable[[int, _Worker], _T],
+    ) -> _T:
+        """Run *attempt* on *route*'s slot under supervision.
 
-        Raises :class:`_SlotUnavailable` if the slot broke before the
-        batch was sent, :class:`_AttemptFailed` if the worker was lost
-        under the batch; worker-side simulation errors re-raise as the
-        in-process engine would have raised them.
+        Picks the sticky slot (passing over open breakers), holds its
+        lock for the attempt, and hands *attempt* a live worker — one
+        found dead is revived first.  A slot that breaks before the
+        attempt is rerouted without charging the retry budget; an
+        attempt that loses its worker is retried on a fresh one, and
+        past the budget *what* is quarantined with
+        :class:`~repro.errors.ShardFailed`.
         """
-        worker = self._workers[index]
-        if not worker.process.is_alive():
-            worker = self._revive(index)
-        fault = (
-            None
-            if self._faults is None
-            else self._faults.next_fault(route_key=route)
-        )
-        if fault is not None and fault.kind == "crash_before_dispatch":
-            # parent-side chaos: the worker dies between batches and the
-            # dispatch path discovers it — the revive-at-dispatch case
-            worker.process.kill()
-            worker.process.join(1.0)
-            worker = self._revive(index)
-            fault = None
-        directive = None if fault is None else fault.wire()
-        # identity check, not just key membership: the pinned reference
-        # is what keeps id(netlist) unrecycled, so a key whose pin is a
-        # *different* object must re-ship
-        ship_netlist = worker.known.get(key) is not netlist
+        home = self._worker_for(route)
+        budget = self._supervisor.config.max_batch_retries
+        failures = 0
+        reroutes = 0
         while True:
-            try:
-                _post(
-                    worker.conn,
-                    (
-                        "run",
-                        key,
-                        netlist if ship_netlist else None,
-                        int(n_phases),
-                        bool(pipelined),
-                        wire,
-                        directive,
-                    ),
+            self._check_open()
+            index = self._supervisor.pick_slot(home, time.monotonic())
+            if index is None:
+                raise ShardFailed(
+                    f"every worker slot's circuit breaker is open; "
+                    f"{what} was not dispatched"
                 )
-            except (OSError, ValueError):
-                raise _AttemptFailed(
-                    "worker pipe closed at dispatch"
-                ) from None
-            status, payload = self._receive(index, worker)
-            if status == "miss":
-                # the worker evicted (or never had) this key while the
-                # parent advertised it: re-ship and retry — self-healing
-                # against any cache desync.  The injected fault (if any)
-                # was not consumed by the miss round trip exactly once,
-                # so clear it rather than double-inject
-                ship_netlist = True
-                directive = None
-                continue
-            if status == "error":
-                self._supervisor.record_success(index)  # the slot is fine
-                raise payload  # type: ignore[misc]
-            worker.known[key] = netlist
-            worker.known.move_to_end(key)
-            while len(worker.known) > WORKER_NETLIST_CACHE:
-                worker.known.popitem(last=False)
-            self._supervisor.record_success(index)
-            return payload  # type: ignore[return-value]
+            try:
+                with self._workers[index].lock:
+                    try:
+                        worker = self._workers[index]
+                        if not worker.process.is_alive():
+                            worker = self._revive(index)
+                        return attempt(index, worker)
+                    except _AttemptFailed as failed:
+                        # recover the slot while still holding its lock:
+                        # reaping/respawning unlocked would race another
+                        # thread's fresh dispatch on the same slot (the
+                        # backoff cap is far below the sanitizer's lock
+                        # hold threshold)
+                        self._fail_slot(index)
+                        raise
+            except _SlotUnavailable:
+                # the slot broke before this attempt: reroute without
+                # charging the retry budget, but bound the scan so
+                # cascading breakers cannot loop forever
+                reroutes += 1
+                if reroutes > len(self._workers):
+                    raise ShardFailed(
+                        f"no dispatchable worker slot left for {what}: "
+                        "every slot is broken or breaking"
+                    ) from None
+            except _AttemptFailed as failed:
+                failures += 1
+                if failures > budget:
+                    self._supervisor.note_quarantine()
+                    raise ShardFailed(
+                        f"{what} failed {failures} dispatch attempts "
+                        f"(last: {failed.reason}); quarantined as a "
+                        "poison — only it fails, the pool keeps serving"
+                    ) from None
 
     def simulate(
         self,
@@ -827,66 +679,61 @@ class ProcessShardPool:
         errors re-raise here exactly as the in-process engine would
         have raised them.
         """
-        with self._state_lock:
-            if self._closed:
-                raise ServeError("process shard pool is closed")
         key = (id(netlist), netlist.version)
         route = route_key if route_key is not None else key
-        home = self._worker_for(route)
         wire = _wire_streams(streams)
-        budget = self._supervisor.config.max_batch_retries
-        failures = 0
-        reroutes = 0
-        while True:
-            with self._state_lock:
-                if self._closed:
-                    raise ServeError("process shard pool is closed")
-            index = self._supervisor.pick_slot(home, time.monotonic())
-            if index is None:
-                raise ShardFailed(
-                    f"every worker slot's circuit breaker is open; "
-                    f"batch of {len(wire)} streams was not dispatched"
+
+        def attempt(index: int, worker: _Worker) -> list:
+            fault = (
+                None
+                if self._faults is None
+                else self._faults.next_fault(route_key=route)
+            )
+            if fault is not None and fault.kind == "crash_before_dispatch":
+                # parent-side chaos: the worker dies between batches and
+                # the dispatch path discovers it — the revive-at-dispatch
+                # case
+                worker.process.kill()
+                worker.process.join(1.0)
+                worker = self._revive(index)
+                fault = None
+            directive = None if fault is None else fault.wire()
+            # identity check, not just key membership: the pinned
+            # reference is what keeps id(netlist) unrecycled, so a key
+            # whose pin is a *different* object must re-ship
+            ship = worker.known.get(key) is not netlist
+            while True:
+                status, payload = self._exchange(
+                    index,
+                    worker,
+                    (
+                        "run",
+                        key,
+                        netlist if ship else None,
+                        int(n_phases),
+                        bool(pipelined),
+                        wire,
+                        directive,
+                    ),
                 )
-            slot_lock = self._workers[index].lock
-            try:
-                with slot_lock:
-                    try:
-                        return self._attempt(
-                            index, key, netlist, wire, int(n_phases),
-                            bool(pipelined), route,
-                        )
-                    except _AttemptFailed as failed:
-                        # recover the slot while still holding its lock:
-                        # reaping/respawning unlocked would race another
-                        # thread's fresh dispatch on the same slot (the
-                        # backoff cap is far below the sanitizer's lock
-                        # hold threshold)
-                        self._fail_slot(index, failed.reason)
-                        raise
-            except _SlotUnavailable:
-                # the slot broke before this batch was sent: reroute
-                # without charging the batch's retry budget, but bound
-                # the scan so cascading breakers cannot loop forever
-                reroutes += 1
-                if reroutes > len(self._workers):
-                    raise ShardFailed(
-                        f"no dispatchable worker slot left for a batch "
-                        f"of {len(wire)} streams: every slot is broken "
-                        "or breaking"
-                    ) from None
-                continue
-            except _AttemptFailed as failed:
-                failures += 1
-                if failures > budget:
-                    self._supervisor.note_quarantine()
-                    raise ShardFailed(
-                        f"batch of {len(wire)} streams failed "
-                        f"{failures} dispatch attempts (last: "
-                        f"{failed.reason}); quarantined as a poison "
-                        "batch — only this batch fails, the pool keeps "
-                        "serving"
-                    ) from None
-                continue
+                if status == "ok":
+                    break
+                # a miss: the worker evicted (or never had) this key
+                # while the parent advertised it — re-ship and retry,
+                # self-healing against any cache desync.  The injected
+                # fault (if any) ran with the miss round trip, so clear
+                # it rather than double-inject
+                ship = True
+                directive = None
+            worker.known[key] = netlist
+            worker.known.move_to_end(key)
+            while len(worker.known) > WORKER_NETLIST_CACHE:
+                worker.known.popitem(last=False)
+            return payload
+
+        return self._supervised(
+            route, f"batch of {len(wire)} streams", attempt
+        )
 
     # ------------------------------------------------------------------
     # streaming sessions
@@ -910,74 +757,73 @@ class ProcessShardPool:
         a plain retry is safe); worker-side open errors (e.g. an
         unbalanced netlist) re-raise typed.
         """
-        with self._state_lock:
-            if self._closed:
-                raise ServeError("process shard pool is closed")
-        route = route_key if route_key is not None else session_id
-        home = self._worker_for(route)
-        budget = self._supervisor.config.max_batch_retries
-        failures = 0
-        reroutes = 0
-        while True:
-            with self._state_lock:
-                if self._closed:
-                    raise ServeError("process shard pool is closed")
-            index = self._supervisor.pick_slot(home, time.monotonic())
-            if index is None:
-                raise ShardFailed(
-                    f"every worker slot's circuit breaker is open; "
-                    f"session {session_id!r} cannot be opened"
-                )
-            slot_lock = self._workers[index].lock
+        message = (
+            "s_open", session_id, netlist, int(n_phases), bool(pipelined)
+        )
+
+        def attempt(index: int, worker: _Worker) -> int:
+            self._exchange(index, worker, message)
+            return index
+
+        return self._supervised(
+            route_key if route_key is not None else session_id,
+            f"session {session_id!r}",
+            attempt,
+        )
+
+    def _session_call(
+        self, slot: int, message: tuple, route: object = None
+    ) -> list:
+        """One session round trip on *slot*: a single attempt, no retry.
+
+        Losing the worker loses the session's engine state, so the
+        *caller* must replay the feed log — signalled by
+        :class:`SessionWorkerLost`, raised only after the slot has been
+        respawned and accounted under supervision.  With a *route* (a
+        feed) the seeded fault plan is consulted exactly like a batch
+        dispatch, its directive riding in the message's last field;
+        worker-side engine errors re-raise typed.
+        """
+        self._check_open()
+        with self._workers[slot].lock:
+            worker = self._workers[slot]
             try:
-                with slot_lock:
-                    try:
-                        worker = self._workers[index]
-                        if not worker.process.is_alive():
-                            worker = self._revive(index)
-                        try:
-                            _post(
-                                worker.conn,
-                                (
-                                    "s_open",
-                                    session_id,
-                                    netlist,
-                                    int(n_phases),
-                                    bool(pipelined),
-                                ),
-                            )
-                        except (OSError, ValueError):
-                            raise _AttemptFailed(
-                                "worker pipe closed at session open"
-                            ) from None
-                        status, payload = self._receive(index, worker)
-                        if status == "error":
-                            # the slot is fine; the *session* is not
-                            self._supervisor.record_success(index)
-                            raise payload  # type: ignore[misc]
-                        self._supervisor.record_success(index)
-                        return index
-                    except _AttemptFailed as failed:
-                        self._fail_slot(index, failed.reason)
-                        raise
-            except _SlotUnavailable:
-                reroutes += 1
-                if reroutes > len(self._workers):
-                    raise ShardFailed(
-                        f"no dispatchable worker slot left to open "
-                        f"session {session_id!r}: every slot is broken "
-                        "or breaking"
-                    ) from None
-                continue
+                if not worker.process.is_alive():
+                    # died between calls: the engine state is gone
+                    # either way — account + respawn, then replay
+                    raise _AttemptFailed(
+                        f"worker died before {message[0]}"
+                    )
+                if route is not None:
+                    fault = (
+                        None
+                        if self._faults is None
+                        else self._faults.next_fault(route_key=route)
+                    )
+                    if (
+                        fault is not None
+                        and fault.kind == "crash_before_dispatch"
+                    ):
+                        worker.process.kill()
+                        worker.process.join(1.0)
+                        raise _AttemptFailed(
+                            "injected crash before dispatch"
+                        )
+                    message = message[:-1] + (
+                        None if fault is None else fault.wire(),
+                    )
+                status, payload = self._exchange(slot, worker, message)
             except _AttemptFailed as failed:
-                failures += 1
-                if failures > budget:
-                    self._supervisor.note_quarantine()
-                    raise ShardFailed(
-                        f"session {session_id!r} failed {failures} open "
-                        f"attempts (last: {failed.reason})"
-                    ) from None
-                continue
+                self._fail_slot(slot)
+                raise SessionWorkerLost(slot, failed.reason) from None
+        if status == "s_lost":
+            # a respawn ate the worker-side session (another group's
+            # dispatch revived the slot): the state is gone but the
+            # slot is healthy — replay without charging a failure
+            raise SessionWorkerLost(
+                slot, "worker-side session state lost to a respawn"
+            )
+        return payload
 
     def session_feed(
         self,
@@ -990,69 +836,13 @@ class ProcessShardPool:
     ) -> list:
         """One feed round trip; returns newly resolved (index, report)s.
 
-        Single attempt, no silent retry: losing the worker loses the
-        session's engine state, so the *caller* must replay the feed log
-        — signalled by :class:`SessionWorkerLost`, raised only after the
-        slot has been respawned and accounted under supervision.  The
-        seeded fault plan is consulted exactly like a batch dispatch;
-        worker-side engine errors re-raise typed.
+        See :meth:`_session_call` for worker loss and faults.
         """
-        with self._state_lock:
-            if self._closed:
-                raise ServeError("process shard pool is closed")
-        route = route_key if route_key is not None else session_id
-        with self._workers[slot].lock:
-            worker = self._workers[slot]
-            if not worker.process.is_alive():
-                # died between feeds: the engine state is gone either
-                # way — account + respawn, then have the caller replay
-                self._fail_slot(slot, "worker died between session feeds")
-                raise SessionWorkerLost(
-                    slot, "worker died between session feeds"
-                )
-            fault = (
-                None
-                if self._faults is None
-                else self._faults.next_fault(route_key=route)
-            )
-            if fault is not None and fault.kind == "crash_before_dispatch":
-                worker.process.kill()
-                worker.process.join(1.0)
-                self._fail_slot(slot, "injected crash before dispatch")
-                raise SessionWorkerLost(
-                    slot, "injected crash before dispatch"
-                )
-            directive = None if fault is None else fault.wire()
-            try:
-                _post(
-                    worker.conn,
-                    ("s_feed", session_id, block, bool(flush), directive),
-                )
-            except (OSError, ValueError):
-                self._fail_slot(
-                    slot, "worker pipe closed at session feed"
-                )
-                raise SessionWorkerLost(
-                    slot, "worker pipe closed at session feed"
-                ) from None
-            try:
-                status, payload = self._receive(slot, worker)
-            except _AttemptFailed as failed:
-                self._fail_slot(slot, failed.reason)
-                raise SessionWorkerLost(slot, failed.reason) from None
-            if status == "s_lost":
-                # a respawn ate the worker-side session (another group's
-                # dispatch revived the slot): the state is gone but the
-                # slot is healthy — replay without charging a failure
-                self._supervisor.record_success(slot)
-                raise SessionWorkerLost(
-                    slot, "worker-side session state lost to a respawn"
-                )
-            if status == "error":
-                self._supervisor.record_success(slot)
-                raise payload  # type: ignore[misc]
-            self._supervisor.record_success(slot)
-            return payload  # type: ignore[return-value]
+        return self._session_call(
+            slot,
+            ("s_feed", session_id, block, bool(flush), None),
+            route_key if route_key is not None else session_id,
+        )
 
     def session_close(
         self, session_id: str, slot: int, *, drain: bool
@@ -1065,37 +855,6 @@ class ProcessShardPool:
         Worker loss raises :class:`SessionWorkerLost` — actionable only
         when draining (an undrained close has nothing left to lose).
         """
-        with self._state_lock:
-            if self._closed:
-                raise ServeError("process shard pool is closed")
-        with self._workers[slot].lock:
-            worker = self._workers[slot]
-            if not worker.process.is_alive():
-                self._fail_slot(slot, "worker died before session close")
-                raise SessionWorkerLost(
-                    slot, "worker died before session close"
-                )
-            try:
-                _post(worker.conn, ("s_close", session_id, bool(drain)))
-            except (OSError, ValueError):
-                self._fail_slot(
-                    slot, "worker pipe closed at session close"
-                )
-                raise SessionWorkerLost(
-                    slot, "worker pipe closed at session close"
-                ) from None
-            try:
-                status, payload = self._receive(slot, worker)
-            except _AttemptFailed as failed:
-                self._fail_slot(slot, failed.reason)
-                raise SessionWorkerLost(slot, failed.reason) from None
-            if status == "s_lost":
-                self._supervisor.record_success(slot)
-                raise SessionWorkerLost(
-                    slot, "worker-side session state lost to a respawn"
-                )
-            if status == "error":
-                self._supervisor.record_success(slot)
-                raise payload  # type: ignore[misc]
-            self._supervisor.record_success(slot)
-            return payload  # type: ignore[return-value]
+        return self._session_call(
+            slot, ("s_close", session_id, bool(drain))
+        )

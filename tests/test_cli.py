@@ -1,5 +1,7 @@
 """CLI smoke tests (argument parsing and end-to-end subcommands)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -169,6 +171,22 @@ class TestServeBench:
         ) == 0
         out = capsys.readouterr().out
         assert "6 expired" in out
+        assert "identity  : ok" in out
+
+    def test_serve_bench_stream_faults_replay_with_thread_shards(
+        self, capsys
+    ):
+        # thread shards draw a fault on every session feed: a worker
+        # -killing one drops the session's engine state, and the
+        # session rebuilds it by feed-log replay, bit-identically
+        assert main(
+            ["serve-bench", "ctrl", "--stream", "--stream-sessions", "2",
+             "--requests", "8", "--waves", "16", "--trials", "1",
+             "--faults", "crash=0.5,slow=0.3,slow-s=0.001"]
+        ) == 0
+        out = capsys.readouterr().out
+        replays = re.search(r"(\d+) replays \(server totals\)", out)
+        assert replays is not None and int(replays.group(1)) > 0
         assert "identity  : ok" in out
 
 

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.wavepipe.clocking import PAPER_PHASES, ClockingScheme
+from repro.core.wavepipe.clocking import (
+    MAX_PHASES,
+    PAPER_PHASES,
+    ClockingScheme,
+)
 from repro.errors import SimulationError
 
 
@@ -13,6 +17,11 @@ class TestClockingScheme:
     def test_rejects_single_phase(self):
         with pytest.raises(SimulationError):
             ClockingScheme(n_phases=1)
+
+    def test_phase_count_is_capped(self):
+        assert ClockingScheme(MAX_PHASES).n_phases == MAX_PHASES
+        with pytest.raises(SimulationError, match="at most"):
+            ClockingScheme(MAX_PHASES + 1)
 
     def test_phase_of_level(self):
         clock = ClockingScheme(3)

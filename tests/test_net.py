@@ -303,14 +303,20 @@ class TestProtocolUnhappyPaths:
         netlist = _netlists()[0]
         raw = tier.raw()
         reader = raw.makefile("rb")
-        raw.sendall(
-            REQUESTS.frame(
-                ("submit", 3, 1, netlist, [1], [[]], 1, None, None)
+        for tag, n_phases in enumerate((1, 0, 2**63, 10**400)):
+            raw.sendall(
+                REQUESTS.frame(
+                    ("submit", tag, 1, netlist, [1], [[]], n_phases,
+                     None, None)
+                )
             )
-        )
-        assert _read_frame(reader)[:3] == ("rejected", 3, "simulation")
-        raw.sendall(REQUESTS.frame(("s_open", 4, 1, netlist, 0, None)))
-        assert _read_frame(reader)[:3] == ("s_open_failed", 4, "simulation")
+            assert _read_frame(reader)[:3] == ("rejected", tag, "simulation")
+            raw.sendall(
+                REQUESTS.frame(("s_open", tag, 1, netlist, n_phases, None))
+            )
+            assert _read_frame(reader)[:3] == (
+                "s_open_failed", tag, "simulation"
+            )
         raw.sendall(REQUESTS.frame(("ping", 5)))
         assert _read_frame(reader) == ("pong", 5)
         raw.close()

@@ -621,14 +621,20 @@ class TestSessionFaults:
             start += count
         return waves, slices
 
-    @pytest.mark.parametrize("fault_seed", [0, 1, 2])
-    def test_session_matrix_bit_identical_or_typed(self, fault_seed):
+    @pytest.mark.parametrize(
+        "fault_seed, process_shards",
+        [pytest.param(seed, 1, id=str(seed)) for seed in (0, 1, 2)]
+        + [pytest.param(seed, 0, id=f"thread-{seed}") for seed in range(5)],
+    )
+    def test_session_matrix_bit_identical_or_typed(
+        self, fault_seed, process_shards
+    ):
         balanced, _ = _netlists()
         waves, slices = self._slices(balanced, self.SCHEDULE, seed=6)
         plan = FaultPlan(fault_seed, self.RATES)
         server = SimulationServer(
             shards=1,
-            process_shards=1,
+            process_shards=process_shards,
             dispatch_timeout_s=0.75,
             faults=plan,
             supervision=FAST,
@@ -661,7 +667,11 @@ class TestSessionFaults:
         finally:
             server.close(timeout=TIMEOUT_S)
 
-    def test_injected_crash_is_a_counted_replay(self):
+    @pytest.mark.parametrize(
+        "process_shards",
+        [pytest.param(1, id="process"), pytest.param(0, id="thread")],
+    )
+    def test_injected_crash_is_a_counted_replay(self, process_shards):
         """A crash_before_dispatch feed replays and stays bit-identical."""
         rates = FaultRates(crash_before_dispatch=0.6)
         # fire on the second session_feed visit: the first feed lands
@@ -677,7 +687,7 @@ class TestSessionFaults:
         waves, slices = self._slices(balanced, schedule, seed=2)
         server = SimulationServer(
             shards=1,
-            process_shards=1,
+            process_shards=process_shards,
             faults=FaultPlan(seed, rates),
             supervision=FAST,
         )

@@ -114,7 +114,6 @@ def _messages():
             ("s_open", "stream-1", netlist, 3, True),
             ("s_feed", "stream-1", _block(4), False, ("crash", 0.0)),
             ("s_close", "stream-1", True),
-            ("ping",),
             ("stop",),
         ],
         WORKER_REPLIES: [
@@ -124,7 +123,6 @@ def _messages():
             ("error", "shard_failed", "worker lost"),
             ("miss", (140, 9)),
             ("s_lost", "stream-1"),
-            ("pong", 1234),
         ],
     }
 
@@ -742,3 +740,34 @@ def test_the_pickle_check_sees_what_it_must(tmp_path):
         "conn.send(1)\nconn.recv()\nconn.send_bytes(b'')\n"
     )
     assert [line for line, _ in _pickle_uses(module)] == [1, 2, 3, 4, 5]
+
+
+_ENGINE_ENTRY_POINTS = {
+    "simulate_streams_packed", "open_packed_session", "PackedSession",
+}
+
+
+def _engine_uses(path):
+    """``(line, name)`` of every import of, or attribute reaching, a
+    packed-engine entry point in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name.split(".")[-1] in _ENGINE_ENTRY_POINTS
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENGINE_ENTRY_POINTS
+        ):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_only_the_shard_core_reaches_the_engine():
+    reaching = {
+        path.name for path in SERVE.glob("*.py") if _engine_uses(path)
+    }
+    assert reaching == {"core.py"}
