@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'crash=0.1,hang=0.05,slow=0.2,slow-s=0.01' (keys: crash/"
         "crash-mid, crash-pre, eof, hang, slow; delays slow-s/hang-s; "
         "'seed=N' overrides --fault-seed).  Process shards suffer every "
-        "kind; with thread shards slow sleeps, hang is skipped, and a "
+        "kind; with thread shards slow sleeps, hang is skipped (printed "
+        "apart from the injected faults), and a "
         "worker-killing kind fails its batch typed or makes a session "
         "replay its feed log.  The printed seed line replays the exact "
         "fault schedule",
@@ -892,13 +893,15 @@ def _run_serve_bench(args: argparse.Namespace, out) -> int:
                 file=out,
             )
         if plan is not None:
-            fired = plan.injected()
-            summary = ", ".join(
-                f"{kind}={count}"
-                for kind, count in fired.items()
-                if count
-            ) or "none fired"
-            print(f"injected  : {summary}", file=out)
+            for label, counts in (
+                ("injected", plan.injected()), ("skipped", plan.skipped())
+            ):
+                summary = ", ".join(
+                    f"{kind}={count}" for kind, count in counts.items()
+                    if count
+                )
+                if summary or label == "injected":
+                    print(f"{label:<10}: {summary or 'none fired'}", file=out)
         return load, identical
 
     thread_load, identical = serve_once("served", 0)

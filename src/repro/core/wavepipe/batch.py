@@ -34,38 +34,38 @@ itself at :data:`MAX_PLANNED_WORDS` words, and is bypassed entirely by an
 explicit ``lanes=`` override (used by the property tests to pin
 word-boundary behaviour and by the benchmarks).
 
-**Exact overlap windows.**  Waves in a pipeline are *coupled*: on an
-unbalanced netlist a component can combine data of adjacent waves, so the
-chunks cannot be simulated truly independently.  Each lane therefore
-re-simulates a short warm-up prefix (the waves injected during the last
-``depth`` clock steps when the netlist is path-balanced, ``depth * p``
-steps otherwise, rounded up to whole injection slots, plus one) and a
-forward suffix (``ceil(depth / separation)`` waves) before/after its chunk.
-Every value, wave id, and interference decision inside a lane's *kept*
-step region then depends only on injections the lane performed itself, so
-it equals the single-stream reference exactly.  The kept regions tile the
-reference timeline ``[0, total_steps)``, which makes merging trivial:
+**Overlap only where interference is possible.**  On a balanced netlist
+with injections at least ``p`` steps apart (the condition of
+:func:`~repro.core.wavepipe.kernels.can_elide_tracking`) a wave's outputs
+are a function of its own inputs, so each lane simulates its chunk alone,
+from a cold state, until its last wave retires.  Only an unbalanced
+netlist couples adjacent waves, so only there does a lane re-simulate a
+warm-up prefix (the waves injected during the last ``depth * p`` steps,
+rounded up to whole injection slots, plus one) and a forward suffix
+(``ceil(depth / separation)`` waves) around its chunk.
+Either way every value, wave id, and interference decision inside a lane's
+*kept* step region depends only on injections the lane performed itself,
+so it equals the single-stream reference exactly.  The kept regions tile
+the reference timeline ``[0, total_steps)``, which makes merging trivial:
 events are filtered per lane and sorted by (absolute step, within-phase
-order) — the same order the scalar loop emits them — and the retired
-output words snapshotted by the kernel are bit-extracted in one
-vectorized pass (the kept (lane, slot) pairs enumerate the global wave
-sequence in order).
+order) — the same order the scalar loop emits them — and the kept
+(lane, slot) retirements enumerate the global wave sequence in order.
 
 **Independent streams share the lane axis.**  :func:`simulate_streams_packed`
 simulates many *independent* wave streams (the serving scenario: one
 request = one stream) in a single pass: every stream receives its own group
-of lanes — planned with the same warm-up/forward logic, budgeted
-proportionally to stream length — and because all streams share the
-netlist, clocking, and injection grid, the one phase-update loop advances
-them together.  Lanes of different streams never exchange data through the
-packing (each lane only ever reads bits it injected itself), so each
-stream's report equals running :func:`simulate_waves` on it alone.
+of lanes — planned with the same overlap logic, budgeted proportionally
+to stream length — and because all streams share the netlist, clocking,
+and injection grid, the one phase-update loop advances them together.
+Lanes of different streams never exchange data through the packing (each
+lane only ever reads bits it injected itself), so each stream's report
+equals running :func:`simulate_waves` on it alone.  Plans are memoized on
+the batch shape, since serving traffic repeats a few shapes.
 
-**Injection packing without the dense gather.**  Input words are packed one
-word at a time with shift/or reductions over at most 64 lanes, so the
-transient footprint is bounded by ``O(slots × 64 × n_inputs)`` regardless
-of the total lane and wave count (a dense ``(slots, lanes, inputs)``
-gather used to spike memory on large streams and defeat them).
+**One lane codec.**  Injection words are packed, and retired words
+decoded, by ``np.packbits`` / ``np.unpackbits`` along the lane axis
+(``bitorder="little"``, eight bytes viewed as one ``<u8`` word), from
+and to one bool per (slot, input or output, lane).
 
 **Streaming sessions.**  :func:`open_packed_session` returns a
 :class:`PackedSession` that keeps one
@@ -92,6 +92,7 @@ batches, and both tracking variants.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -102,6 +103,7 @@ from ...errors import SessionClosed, SimulationError
 from .clocking import ClockingScheme
 from .components import WaveNetlist
 from .kernels import (
+    CompiledWaveNetlist,
     SessionState,
     _retire_slot_count,
     can_elide_tracking,
@@ -126,8 +128,9 @@ LANES_PER_WORD = 64
 #: Soft cap on the number of state words the *planner* chooses (the
 #: ``lanes=`` override and the one-lane-per-stream floor are unbounded).
 #: 16 words = 1024 lanes keeps the tracked kernels' int32 wave-id matrix
-#: at 4 KiB per component; past that, widening words stops paying for the
-#: extra warm-up work and memory traffic even in the elided kernels.
+#: at 4 KiB per component; past that, a wider state matrix stops paying
+#: for its memory traffic even in the elided kernels, and on unbalanced
+#: netlists every extra lane also re-simulates its warm-up.
 MAX_PLANNED_WORDS = 16
 
 
@@ -163,17 +166,23 @@ def _overlap_slots(
 ) -> tuple[int, int]:
     """Warm-up and forward overlap of one lane, in injection slots.
 
-    Dependence window of one state read, in clock steps: a fan-in chain
-    has at most ``depth`` links, and a link steps back exactly one step per
-    level on a balanced netlist but up to ``p`` steps in general (the
-    fan-in cell's previous latch).  One extra slot absorbs the injection
-    grid (an input holds its last wave for up to ``separation`` steps).
-    The forward overlap covers the drain: on an unbalanced netlist a short
-    path can deliver a *later* wave to an output driver while a kept wave
-    retires.
+    Zero and zero exactly when
+    :func:`~repro.core.wavepipe.kernels.can_elide_tracking` holds, for
+    either kernel variant: a wave's outputs then depend on its own inputs
+    alone, so a lane starts cold at its first wave (a tracked lane sees
+    only the warming id ``-1`` before it) and stops when its last retires.
+
+    Otherwise the dependence window of one state read, in clock steps: a
+    fan-in chain has at most ``depth`` links, and a link steps back up to
+    ``p`` steps (the fan-in cell's previous latch).  One extra slot
+    absorbs the injection grid (an input holds its last wave for up to
+    ``separation`` steps).  The forward overlap covers the drain: on an
+    unbalanced netlist a short path can deliver a *later* wave to an
+    output driver while a kept wave retires.
     """
-    window_steps = depth if balanced else depth * n_phases
-    warm_slots = -(-window_steps // separation) + 1
+    if balanced and separation >= n_phases:
+        return 0, 0
+    warm_slots = -(-(depth * n_phases) // separation) + 1
     forward_slots = -(-depth // separation)
     return warm_slots, forward_slots
 
@@ -233,8 +242,9 @@ def _stream_lane_counts(
     ]
 
 
+@functools.lru_cache(maxsize=32)  # serving repeats a few batch shapes
 def _plan_lanes(
-    waves_per_stream: Sequence[int],
+    waves_per_stream: tuple[int, ...],
     depth: int,
     n_phases: int,
     separation: int,
@@ -244,14 +254,15 @@ def _plan_lanes(
     *,
     step_overhead: int,
 ) -> _LanePlan:
-    """Distribute one or more streams across lanes with exact overlap.
+    """Distribute one or more streams across lanes (see :func:`_overlap_slots`).
 
     *lanes* (single-stream only) overrides the heuristic lane count —
     clamped to ``[1, n_waves]`` — so tests and benchmarks can pin word
     boundaries regardless of the planner's defaults.  *step_overhead* is
     the per-variant cost-model constant (see :func:`_default_lane_count`);
     it is required so the calibration has exactly one source of truth,
-    :data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD`.
+    :data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD`.  Plans are
+    memoized (an LRU of 32), so their arrays are read-only.
     """
     warm_slots, forward_slots = _overlap_slots(
         depth, n_phases, separation, balanced
@@ -262,13 +273,16 @@ def _plan_lanes(
                 "explicit lane counts apply to single-stream runs only"
             )
         counts = [max(1, min(int(lanes), waves_per_stream[0]))]
-    elif len(waves_per_stream) == 1:
-        counts = [
-            _default_lane_count(
-                waves_per_stream[0], warm_slots, separation, depth,
-                n_components, step_overhead,
-            )
-        ]
+    elif len(waves_per_stream) == 1 or not warm_slots:
+        # one stream, or streams whose lanes carry no overlap: plan them
+        # as one stream of all their waves and share its lanes out in
+        # proportion to stream length
+        total = sum(waves_per_stream)
+        budget = _default_lane_count(
+            total, warm_slots, separation, depth, n_components,
+            step_overhead,
+        )
+        counts = [max(1, budget * w // total) for w in waves_per_stream]
     else:
         counts = _stream_lane_counts(waves_per_stream, warm_slots)
 
@@ -305,10 +319,15 @@ def _plan_lanes(
     # each stream's last lane owns the drain tail of its timeline
     last_lane = lane_start + counts_arr - 1
     keep_hi[last_lane] = stream_steps - offset[last_lane]
-    lane_steps = np.maximum(
-        (warm + chunk - 1) * separation + depth + 1, keep_hi
-    )
+    # a lane runs until its last wave retires; with overlap it also runs
+    # to the end of its kept region, where events it owns may still fire
+    lane_steps = (warm + chunk - 1) * separation + depth + 1
+    if warm_slots or forward_slots:
+        lane_steps = np.maximum(lane_steps, keep_hi)
     base = wave0 + stream_base[stream]
+    for column in (stream, chunk, warm, base, wave0, n_inj, offset,
+                   keep_lo, keep_hi, stream_waves, stream_base, stream_steps):
+        column.flags.writeable = False  # memoized: shared by every caller
     return _LanePlan(
         n_lanes=n_lanes,
         n_words=-(-n_lanes // LANES_PER_WORD),
@@ -328,6 +347,18 @@ def _plan_lanes(
     )
 
 
+def _pack_lanes(lane_bits: np.ndarray) -> np.ndarray:
+    """The lane codec: ``(..., 64 * n_words)`` bools -> ``(..., n_words)``
+    words, lane *b* in bit ``b mod 64`` of word ``b // 64``."""
+    return np.packbits(lane_bits, axis=-1, bitorder="little").view("<u8")
+
+
+def _unpack_lanes(words: np.ndarray, n_lanes: int) -> np.ndarray:
+    """Inverse of :func:`_pack_lanes`: *n_lanes* 0/1 ``uint8`` lanes."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n_lanes, bitorder="little")
+
+
 def _pack_injections(
     bits: np.ndarray, plan: _LanePlan
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -339,33 +370,26 @@ def _pack_injections(
     uint64 mask of lanes injecting on that slot, and ``active[slot]``
     lists those lanes' indices.
 
-    The packing runs one word at a time with a shift/or reduction over at
-    most 64 lanes, so the transient gather is bounded regardless of the
-    total lane count (a dense ``(slots, lanes, inputs)`` uint64 broadcast
-    used to spike memory on 10^4+-wave streams).
+    Lane *l* injects wave ``base[l] + slot`` on its first ``n_inj[l]``
+    slots: one gather lays those bits out as one bool per (slot, input,
+    lane), lanes padded to whole words, for :func:`_pack_lanes` — about
+    the size of *bits* itself on an overlap-free plan.
     """
     n_slots = int(plan.n_inj.max())
-    n_waves, n_inputs = bits.shape
-    slots = np.arange(n_slots, dtype=np.int64)
-    valid = slots[:, None] < plan.n_inj[None, :]  # (n_slots, n_lanes) bool
-    words = np.zeros((n_slots, n_inputs, plan.n_words), dtype=_WORD)
-    masks = np.zeros((n_slots, plan.n_words), dtype=_WORD)
-    for word in range(plan.n_words):
-        lo = word * LANES_PER_WORD
-        hi = min(lo + LANES_PER_WORD, plan.n_lanes)
-        shift = np.arange(hi - lo, dtype=_WORD)
-        bit = np.left_shift(_WORD(1), shift)
-        wave_of_slot = plan.base[None, lo:hi] + slots[:, None]
-        gathered = bits[np.clip(wave_of_slot, 0, n_waves - 1)]
-        gathered[~valid[:, lo:hi]] = False
-        words[:, :, word] = np.bitwise_or.reduce(
-            np.left_shift(gathered.astype(_WORD), shift[None, :, None]),
-            axis=1,
-        )
-        masks[:, word] = np.bitwise_or.reduce(
-            np.where(valid[:, lo:hi], bit[None, :], _WORD(0)), axis=1
-        )
-    active = [np.nonzero(valid[slot])[0] for slot in range(n_slots)]
+    slots = np.arange(n_slots, dtype=np.int64)[:, None]
+    width = plan.n_words * LANES_PER_WORD
+    valid = np.zeros((n_slots, width), dtype=bool)
+    np.less(slots, plan.n_inj, out=valid[:, :plan.n_lanes])
+    wave = np.zeros((n_slots, width), dtype=np.int64)
+    np.minimum(plan.base + slots, bits.shape[0] - 1,
+               out=wave[:, :plan.n_lanes])
+    lane_bits = bits.T[:, wave]  # (n_inputs, n_slots, width)
+    del wave  # each transient dies before the next one is made
+    lane_bits &= valid
+    words = _pack_lanes(np.ascontiguousarray(lane_bits.transpose(1, 0, 2)))
+    del lane_bits
+    masks = _pack_lanes(valid)
+    active = [np.flatnonzero(row) for row in valid]
     return words, masks, active
 
 
@@ -399,10 +423,11 @@ def _vector_bits(
 
 
 def _unpack_outputs(ret_words: np.ndarray, plan: _LanePlan) -> np.ndarray:
-    """Bit-extract every kept (lane, slot) retirement in one pass.
+    """Decode every kept (lane, slot) retirement in one pass.
 
-    Lanes are ordered by stream and chunk start, so the kept pairs
-    enumerate the global wave sequence exactly in order — row *k* of the
+    Lanes are ordered by stream and chunk start and lane *l* keeps retire
+    slots ``[warm[l], warm[l] + chunk[l])``, so one mask over the decoded
+    (lane, slot) pairs selects them in global wave order — row *k* of the
     returned read-only ``(waves, n_outputs)`` bool matrix IS wave *k*'s
     output vector.  No Python object is built per wave: each stream's
     report holds its own row slice of this one matrix.
@@ -413,18 +438,12 @@ def _unpack_outputs(ret_words: np.ndarray, plan: _LanePlan) -> np.ndarray:
     last_owned_slot = int((plan.warm + plan.chunk - 1).max())
     if last_owned_slot >= ret_words.shape[0]:
         raise SimulationError("simulation ended before every wave retired")
-    n_total = int(plan.chunk.sum())
-    lane_of = np.repeat(np.arange(plan.n_lanes, dtype=np.int64), plan.chunk)
-    pair_start = np.concatenate(([0], np.cumsum(plan.chunk)[:-1]))
-    slot_of = (
-        np.arange(n_total, dtype=np.int64)
-        - np.repeat(pair_start, plan.chunk)
-        + np.repeat(plan.warm, plan.chunk)
+    slots = np.arange(ret_words.shape[0], dtype=np.int64)
+    kept = (slots >= plan.warm[:, None]) & (
+        slots < (plan.warm + plan.chunk)[:, None]
     )
-    word_of = lane_of // LANES_PER_WORD
-    bit_of = (lane_of % LANES_PER_WORD).astype(_WORD)
-    bits = (ret_words[slot_of, :, word_of] >> bit_of[:, None]) & _WORD(1)
-    matrix = bits.astype(bool)
+    lane_bits = _unpack_lanes(ret_words, plan.n_lanes)
+    matrix = lane_bits.transpose(2, 0, 1)[kept].view(bool)
     matrix.flags.writeable = False
     return matrix
 
@@ -435,6 +454,31 @@ def _interference_error(event: WaveInterference) -> SimulationError:
         f"wave interference at step {event.step}, component "
         f"{event.component}: waves {event.wave_ids}"
     )
+
+
+def _plan_run(
+    netlist: WaveNetlist,
+    waves_per_stream: Sequence[int],
+    clocking: Optional[ClockingScheme],
+    pipelined: bool,
+    track: Optional[bool],
+    lanes: Optional[int] = None,
+) -> tuple[CompiledWaveNetlist, int, bool, Optional[_LanePlan]]:
+    """``(compiled, separation, elided, plan)`` of one pass over the
+    non-empty streams (``plan`` is ``None`` if there are none): every
+    entry point plans here, so sizing and running a batch share a plan."""
+    compiled = compile_netlist(netlist, clocking or ClockingScheme())
+    if compiled.depth == 0:
+        raise SimulationError("cannot wave-simulate a depth-0 netlist")
+    separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
+    elided = resolve_tracking(compiled, separation, track)
+    live = tuple(int(waves) for waves in waves_per_stream if waves > 0)
+    plan = _plan_lanes(
+        live, compiled.depth, compiled.n_phases, separation,
+        compiled.balanced, compiled.n_components, lanes,
+        step_overhead=planner_step_overhead(elided),
+    ) if live else None
+    return compiled, separation, elided, plan
 
 
 def describe_packed_run(
@@ -454,22 +498,10 @@ def describe_packed_run(
     :func:`simulate_streams_packed` batch of equal-length streams
     (``lanes`` overrides apply to single-stream runs only).
     """
-    clocking = clocking or ClockingScheme()
-    compiled = compile_netlist(netlist, clocking)
-    if compiled.depth == 0:
-        raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
-    elided = resolve_tracking(compiled, separation, track)
-    plan = _plan_lanes(
-        [n_waves] * max(1, n_streams),
-        compiled.depth,
-        compiled.n_phases,
-        separation,
-        compiled.balanced,
-        compiled.n_components,
-        lanes=lanes,
-        step_overhead=planner_step_overhead(elided),
-    ) if n_waves > 0 else None
+    compiled, _, elided, plan = _plan_run(
+        netlist, [n_waves] * max(1, n_streams), clocking, pipelined, track,
+        lanes,
+    )
     return {
         "elided_tracking": elided,
         "balanced": compiled.balanced,
@@ -499,26 +531,13 @@ def plan_stream_batch(
     Returns a JSON-friendly dict: ``elided_tracking``, ``n_streams``,
     ``total_waves``, ``lanes``, ``words``, ``steps``.
     """
-    clocking = clocking or ClockingScheme()
-    compiled = compile_netlist(netlist, clocking)
-    if compiled.depth == 0:
-        raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
-    elided = resolve_tracking(compiled, separation, track)
-    live = [int(waves) for waves in waves_per_stream if waves > 0]
-    plan = _plan_lanes(
-        live,
-        compiled.depth,
-        compiled.n_phases,
-        separation,
-        compiled.balanced,
-        compiled.n_components,
-        step_overhead=planner_step_overhead(elided),
-    ) if live else None
+    _, _, elided, plan = _plan_run(
+        netlist, waves_per_stream, clocking, pipelined, track
+    )
     return {
         "elided_tracking": elided,
         "n_streams": len(waves_per_stream),
-        "total_waves": sum(live),
+        "total_waves": int(plan.stream_waves.sum()) if plan else 0,
         "lanes": plan.n_lanes if plan else 0,
         "words": plan.n_words if plan else 0,
         "steps": plan.local_steps if plan else 0,
@@ -543,40 +562,23 @@ def _packed_reports(
     one copy of the control flow means strict-mode and retirement checks
     cannot drift between the entry points.
     """
-    clocking = clocking or ClockingScheme()
     if validate:
         for vectors in streams:
             _validate_vectors(netlist, vectors)
-    compiled = compile_netlist(netlist, clocking)
+    compiled, separation, elide, plan = _plan_run(
+        netlist, [len(vectors) for vectors in streams], clocking, pipelined,
+        track, lanes,
+    )
     depth = compiled.depth
-    if depth == 0:
-        raise SimulationError("cannot wave-simulate a depth-0 netlist")
-
-    reports: list[Optional[WaveSimulationReport]] = [None] * len(streams)
-    live = [
-        index for index, vectors in enumerate(streams) if len(vectors) > 0
+    reports: list[Optional[WaveSimulationReport]] = [
+        None if len(vectors) else _empty_report(depth, netlist.n_outputs)
+        for vectors in streams
     ]
-    for index, vectors in enumerate(streams):
-        if len(vectors) == 0:
-            reports[index] = _empty_report(depth, netlist.n_outputs)
-    if not live:
+    if plan is None:
         return reports  # type: ignore[return-value]  # every stream empty
 
-    p = compiled.n_phases
-    separation = wave_separation(depth, p, pipelined)
-    elide = resolve_tracking(compiled, separation, track)
-    live_streams = [streams[index] for index in live]
-    plan = _plan_lanes(
-        [len(vectors) for vectors in live_streams],
-        depth,
-        p,
-        separation,
-        compiled.balanced,
-        compiled.n_components,
-        lanes=lanes,
-        step_overhead=planner_step_overhead(elide),
-    )
-    bits = _vector_bits(live_streams, netlist.n_inputs)
+    live = [index for index, report in enumerate(reports) if report is None]
+    bits = _vector_bits([streams[index] for index in live], netlist.n_inputs)
     inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
     ret_words, events = run_plan(
         compiled, plan, inj_words, inj_masks, inj_active, separation,
@@ -721,8 +723,9 @@ def _pack_session_slots(
     lane ``j % n_lanes`` — slots fill from lane 0, so a session's wave
     order across slots enumerates the global wave sequence exactly like
     a one-shot plan's kept (lane, slot) pairs do.  Returns ``(words,
-    masks, active)`` with the :func:`_pack_injections` meanings, by the
-    same bounded word-at-a-time shift/or packing.
+    masks, active)`` with the :func:`_pack_injections` meanings, packed
+    one word at a time with shift/or reductions (the lane codec measured
+    no faster on the few waves of one feed).
     """
     n_waves, n_inputs = bits.shape
     n_slots = -(-n_waves // n_lanes)

@@ -105,9 +105,10 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 PLANNER_STEP_OVERHEAD = {
     # tracked: the int32 wave-id matrix dominates
     False: 400_000,
-    # elided: a lane is one bit of uint64 across ~10 in-place ops,
-    # ~30x cheaper than a tracked wave-id element
-    True: 4_000_000,
+    # elided: a lane is one bit of uint64 across ~10 in-place ops; the
+    # sweep's best over one stream and served batches, on which a wider
+    # value (a second state word) costs i2c ~3x per gather
+    True: 1_000_000,
 }
 
 

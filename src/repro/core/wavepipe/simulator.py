@@ -41,9 +41,10 @@ interference events, in the same order):
     compiled once per netlist revision; the lane count is unbounded — the
     planner fills as many 64-lane words as the stream warrants, using
     one cost constant per variant — so 10^4–10^5-wave streams run in one
-    pass.  Lanes re-simulate a short warm-up/overlap window so that the
-    coupled dynamics of adjacent waves — including interference on
-    unbalanced netlists — stay bit-identical to the reference engine.
+    pass.  Overlap is planned only where interference is possible: lanes
+    re-simulate a short warm-up/forward window on unbalanced netlists
+    alone, so that coupled adjacent waves — interference included — stay
+    bit-identical to the reference engine.
     This is the engine that reaches the paper's 10^5-component netlists
     (e.g. DIFFEQ1's 306 937 components) and the roadmap's 10^5-wave
     streams.

@@ -49,7 +49,6 @@ TARGET_MODULES = (
     "repro.serve.server",
     "repro.serve.core",
     "repro.serve.metrics",
-    "repro.serve.batcher",
     "repro.serve.shards",
     "repro.serve.loadgen",
     "repro.core.wavepipe.kernels",

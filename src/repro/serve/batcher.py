@@ -19,7 +19,6 @@ footprint of one pass regardless of per-request stream lengths.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -125,8 +124,7 @@ class Batcher:
     The queue-touching methods (:meth:`start_batch`, :meth:`top_up`)
     must be called with the server's lock held — the queue is not
     thread-safe.  :meth:`plan` and :meth:`is_full` touch no queue state;
-    ``plan`` is called by shard workers *outside* the server lock and
-    guards its own memo with a dedicated lock.
+    ``plan`` is called by shard workers *outside* the server lock.
     """
 
     def __init__(
@@ -142,11 +140,6 @@ class Batcher:
         self.queue = queue
         self.max_batch_requests = int(max_batch_requests)
         self.max_batch_waves = int(max_batch_waves)
-        self._plan_memo: dict = {}
-        self._plan_lock = threading.Lock()
-
-    #: Bound on the memoized batch plans (see :meth:`plan`).
-    _PLAN_MEMO_LIMIT = 64
 
     def expire(
         self, now: float, key: Optional[GroupKey] = None
@@ -204,35 +197,13 @@ class Batcher:
         )
 
     def plan(self, batch: Batch) -> dict:
-        """Lane plan of *batch* as the packed engine will run it.
-
-        Thin wrapper over
-        :func:`~repro.core.wavepipe.batch.plan_stream_batch` — the
-        serving metrics record the planner's words/lanes per batch so
-        operators can see how traffic actually packs.  Serving traffic
-        is highly repetitive (the same netlist and request shape batch
-        after batch), so the result is memoized per (group, per-stream
-        lengths) with a small bounded table.
-        """
-        lengths = tuple(request.n_waves for request in batch.requests)
-        # the netlist object itself (identity-hashed) is part of the
-        # key: GroupKey's id(netlist) alone could alias a new netlist
-        # allocated at a recycled address after the old one was
-        # collected; holding the reference in the bounded memo keeps
-        # the id stable for exactly as long as the entry lives
-        cache_key = (batch.netlist, batch.key, lengths)
-        with self._plan_lock:
-            cached = self._plan_memo.get(cache_key)
-        if cached is not None:
-            return cached
-        plan = plan_stream_batch(
+        """Lane plan of *batch* as the packed engine will run it (the
+        metrics record its words, so operators see how traffic packs).
+        The engine memoizes plans by batch shape: with thread shards the
+        pass that runs the batch reuses this very plan."""
+        return plan_stream_batch(
             batch.netlist,
-            list(lengths),
+            [request.n_waves for request in batch.requests],
             clocking=batch.clocking,
             pipelined=batch.pipelined,
         )
-        with self._plan_lock:
-            if len(self._plan_memo) >= self._PLAN_MEMO_LIMIT:
-                self._plan_memo.clear()  # tiny table; reset is fine
-            self._plan_memo[cache_key] = plan
-        return plan

@@ -200,7 +200,8 @@ class InProcessPool:
     A :class:`~repro.serve.faults.FaultPlan` is consulted where the
     pool consults it — once per batch and once per session feed, with
     the same route keys.  Nothing here can be killed or reaped, so
-    ``slow`` sleeps and ``hang`` is skipped; the worker-killing kinds
+    ``slow`` sleeps and ``hang`` is skipped (the plan counts it as
+    skipped); the worker-killing kinds
     fail a batch with :class:`~repro.errors.ShardFailed`, and on a feed
     they drop the session's state and raise :class:`SessionWorkerLost`,
     which the server answers with a feed-log replay.
@@ -219,7 +220,9 @@ class InProcessPool:
             return None
         fault = self._faults.next_fault(route_key=route)
         if fault is None or fault.kind == "hang":
-            return None  # nothing could reap a hung in-process call
+            if fault is not None:  # nothing could reap a hung call here
+                self._faults.note_skipped(fault.kind)
+            return None
         if fault.kind == "slow":
             time.sleep(fault.delay_s)
             return None

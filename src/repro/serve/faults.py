@@ -156,6 +156,7 @@ class FaultPlan:
         self._lock = threading.Lock()
         self._visits: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         self._injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        self._skipped: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
     def _decision(self, kind: str, visit: int) -> float:
         """The [0, 1) draw of visit *visit* of *kind* — pure in the seed.
@@ -202,10 +203,23 @@ class FaultPlan:
                     return Fault(kind, self._delay(kind))
         return None
 
+    def note_skipped(self, kind: str) -> None:
+        """Move one drawn *kind* fault the transport could not run from
+        :meth:`injected` to :meth:`skipped` (the draws stay as they were,
+        so replays still match)."""
+        with self._lock:
+            self._injected[kind] -= 1
+            self._skipped[kind] += 1
+
     def injected(self) -> Dict[str, int]:
-        """Cumulative faults fired so far, per kind (a snapshot copy)."""
+        """Cumulative faults that ran so far, per kind (a snapshot copy)."""
         with self._lock:
             return dict(self._injected)
+
+    def skipped(self) -> Dict[str, int]:
+        """Cumulative drawn faults the transport skipped, per kind."""
+        with self._lock:
+            return dict(self._skipped)
 
     def describe(self) -> str:
         """One replayable line: the seed plus every nonzero rate."""

@@ -206,7 +206,8 @@ class SimulationServer:
         Optional :class:`~repro.serve.faults.FaultPlan` — seeded chaos
         injected into the dispatch path.  Process shards exercise the
         full kill/hang/EOF surface.  With thread shards ``slow`` sleeps,
-        ``hang`` is skipped, and a worker-killing fault fails its batch
+        ``hang`` is skipped (the plan counts it under ``skipped()``, not
+        ``injected()``), and a worker-killing fault fails its batch
         with :class:`~repro.errors.ShardFailed` or drops a session's
         engine state, which the session rebuilds by feed-log replay.
         Testing and benchmarking only.

@@ -9,6 +9,9 @@ layout (explicit ``lanes=`` forcings pin the word count), and for batched
 independent streams (``simulate_streams``).
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +26,18 @@ from repro.core.wavepipe import (
     simulate_streams_packed,
     simulate_waves,
     simulate_waves_packed,
+    plan_stream_batch,
     wave_pipeline,
 )
+from repro.core.wavepipe.batch import (
+    _pack_injections,
+    _pack_lanes,
+    _plan_lanes,
+    _unpack_lanes,
+)
+from repro.core.wavepipe.kernels import planner_step_overhead
 from repro.errors import SimulationError
+from repro.suite.table import build_benchmark
 
 from helpers import build_adder_mig, build_random_mig
 from strategies import netlists, stream_lengths
@@ -189,6 +201,35 @@ class TestStreams:
             netlist, streams, pipelined=pipelined
         )
 
+    @given(
+        netlists(wave_ready=True),
+        stream_lengths(max_streams=6, max_waves=90),
+        st.integers(2, 4),
+        st.booleans(),
+        st.sampled_from([None, True]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_overlap_free_batches_match_the_oracle(
+        self, netlist, lengths, n_phases, pipelined, track, seed
+    ):
+        # balanced netlists plan lanes with no warm-up and no forward
+        # slots, under either kernel variant
+        clocking = ClockingScheme(n_phases)
+        streams = [
+            _vectors(netlist.n_inputs, length, seed=seed + index)
+            for index, length in enumerate(lengths)
+        ]
+        oracle = simulate_streams(
+            netlist, streams, clocking=clocking, pipelined=pipelined,
+            engine="python",
+        )
+        packed = simulate_streams_packed(
+            netlist, streams, clocking=clocking, pipelined=pipelined,
+            track=track,
+        )
+        assert packed == oracle
+
     def test_streams_span_word_boundaries(self):
         # enough streams that the lane table crosses several words
         netlist = wave_pipeline(build_adder_mig(2), fanout_limit=3).netlist
@@ -260,6 +301,101 @@ class TestStreams:
         assert simulate_streams_packed(netlist, streams) == simulate_streams(
             netlist, streams
         )
+
+
+#: Lane counts around the codec's byte and word seams.
+CODEC_LANES = [1, 63, 64, 65, 127, 128, 129, 1100]
+
+
+def _unequal_lengths(n_lanes, balanced):
+    """Unequal stream lengths the planner packs on exactly *n_lanes*.
+
+    A tiny balanced netlist gets one lane per wave up to the 16-word
+    budget and one lane per stream past it; an unbalanced one gets one
+    lane per stream of fewer waves than its warm-up.
+    """
+    if balanced and n_lanes <= 1024:
+        lengths, left = [], n_lanes
+        while left:
+            lengths.append(min(left, 1 + len(lengths) % 3))
+            left -= lengths[-1]
+        return lengths
+    return [1 + index % 2 for index in range(n_lanes)]
+
+
+class TestLaneCodec:
+    """``np.packbits`` lanes: lane b is bit b % 64 of word b // 64."""
+
+    @pytest.mark.parametrize("n_lanes", CODEC_LANES)
+    def test_round_trip_and_bit_layout(self, n_lanes):
+        n_words = -(-n_lanes // 64)
+        rng = np.random.default_rng(n_lanes)
+        lanes = np.zeros((3, 5, 64 * n_words), dtype=bool)
+        lanes[..., :n_lanes] = rng.random((3, 5, n_lanes)) < 0.5
+        words = _pack_lanes(lanes)
+        assert words.shape == (3, 5, n_words)
+        lane = np.arange(n_lanes)
+        bit = (words[..., lane // 64] >> (lane % 64).astype(np.uint64)) & 1
+        assert np.array_equal(bit.astype(bool), lanes[..., :n_lanes])
+        assert np.array_equal(
+            _unpack_lanes(words, n_lanes).view(bool), lanes[..., :n_lanes]
+        )
+
+    @pytest.mark.parametrize("n_lanes", CODEC_LANES)
+    def test_pinned_lanes_with_unequal_chunks(self, n_lanes):
+        # 2L - 1 waves on L lanes: all chunks of 2 but the last
+        ready = wave_pipeline(build_adder_mig(2), fanout_limit=3).netlist
+        raw = WaveNetlist.from_mig(build_random_mig(seed=11, n_gates=40))
+        for netlist in (ready, raw):
+            vectors = _vectors(
+                netlist.n_inputs, 2 * n_lanes - 1, seed=n_lanes
+            )
+            scalar, packed = _assert_identical(
+                netlist, vectors, lanes=n_lanes
+            )
+            assert packed == scalar
+
+    @pytest.mark.parametrize("n_lanes", CODEC_LANES)
+    def test_unequal_streams(self, n_lanes):
+        ready = wave_pipeline(build_adder_mig(2), fanout_limit=3).netlist
+        raw = WaveNetlist.from_mig(build_random_mig(seed=11, n_gates=40))
+        for netlist, balanced in ((ready, True), (raw, False)):
+            lengths = _unequal_lengths(n_lanes, balanced)
+            assert plan_stream_batch(netlist, lengths)["lanes"] == n_lanes
+            streams = [
+                _vectors(netlist.n_inputs, length, seed=index)
+                for index, length in enumerate(lengths)
+            ]
+            assert simulate_streams_packed(netlist, streams) == (
+                simulate_streams(netlist, streams, engine="python")
+            )
+
+    def test_packing_a_long_stream_stays_near_one_byte_per_bit(self):
+        # the codec gathers one bool per (slot, lane, input) before
+        # packing them; its transients must stay a small multiple of
+        # that (a uint64 per bit would be 8x), not grow with the stream
+        netlist = wave_pipeline(
+            build_benchmark("ctrl"), fanout_limit=3, verify=False
+        ).netlist
+        compiled = compile_netlist(netlist)
+        bits = np.random.default_rng(3).random(
+            (100_000, netlist.n_inputs)
+        ) < 0.5
+        plan = _plan_lanes(
+            (len(bits),), compiled.depth, compiled.n_phases, 3,
+            compiled.balanced, compiled.n_components,
+            step_overhead=planner_step_overhead(True),
+        )
+        gathered = (
+            int(plan.n_inj.max()) * plan.n_words * 64 * netlist.n_inputs
+        )
+        tracemalloc.start()
+        try:
+            _pack_injections(bits, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * gathered  # 2.6x measured
 
 
 class TestEmptyWaveList:

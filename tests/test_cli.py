@@ -173,6 +173,21 @@ class TestServeBench:
         assert "6 expired" in out
         assert "identity  : ok" in out
 
+    def test_serve_bench_reports_skipped_hangs_apart_from_injected(
+        self, capsys
+    ):
+        # thread shards cannot reap a hang, so each drawn hang is
+        # skipped: the report must not count it as injected
+        assert main(
+            ["serve-bench", "circuit:adder:3", "--requests", "12",
+             "--waves", "4", "--trials", "1", "--shards", "1",
+             "--faults", "hang=0.5"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "injected  : none fired" in out
+        skipped = re.search(r"skipped   : hang=(\d+)", out)
+        assert skipped is not None and int(skipped.group(1)) > 0
+
     def test_serve_bench_stream_faults_replay_with_thread_shards(
         self, capsys
     ):

@@ -27,6 +27,7 @@ from repro.core.wavepipe import (
     can_elide_tracking,
     compile_netlist,
     describe_packed_run,
+    plan_stream_batch,
     random_vectors,
     simulate_streams,
     simulate_streams_packed,
@@ -39,15 +40,17 @@ from repro.core.wavepipe.batch import (
     MAX_PLANNED_WORDS,
     _default_lane_count,
     _overlap_slots,
+    _plan_lanes,
 )
 from repro.core.wavepipe.kernels import (
     PLANNER_STEP_OVERHEAD,
     planner_step_overhead,
 )
+from repro.core.wavepipe.simulator import wave_separation
 from repro.errors import SimulationError
 
 from helpers import build_adder_mig, build_random_mig
-from strategies import raw_netlists
+from strategies import netlists, raw_netlists, stream_lengths
 
 _vectors = random_vectors
 
@@ -340,6 +343,104 @@ class TestPlanner:
         assert info["words"] == 3
         auto = describe_packed_run(balanced_netlist, 300)
         assert auto["lanes"] % LANES_PER_WORD == 0 or auto["lanes"] == 300
+
+    @given(
+        netlists(wave_ready=True),
+        stream_lengths(max_streams=6, max_waves=300),
+        st.integers(2, 4),
+        st.booleans(),
+        st.sampled_from([None, True]),
+        st.none() | st.integers(1, 300),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_balanced_plans_are_overlap_free(
+        self, netlist, lengths, n_phases, pipelined, track, lanes
+    ):
+        # no warm-up, no forward slots, and a lane stops when its last
+        # wave retires — for both kernel variants
+        compiled = compile_netlist(netlist, ClockingScheme(n_phases))
+        separation = wave_separation(compiled.depth, n_phases, pipelined)
+        assert can_elide_tracking(compiled, separation)
+        assert _overlap_slots(
+            compiled.depth, n_phases, separation, compiled.balanced
+        ) == (0, 0)
+        live = tuple(length for length in lengths if length) or (1,)
+        plan = _plan_lanes(
+            live, compiled.depth, n_phases, separation, compiled.balanced,
+            compiled.n_components,
+            lanes=lanes if len(live) == 1 else None,
+            step_overhead=planner_step_overhead(track is None),
+        )
+        assert not plan.warm.any()
+        assert (plan.n_inj == plan.chunk).all()  # forward == 0
+        assert plan.local_steps == (
+            (int(plan.chunk.max()) - 1) * separation + compiled.depth + 1
+        )
+
+    #: Plans of the unbalanced fixture, field for field as the planner
+    #: built them before overlap-free plans existed: (stream lengths,
+    #: pipelined, lanes) -> every plan field.
+    UNBALANCED_PLANS = {
+        ((12, 30, 7), True, None): dict(
+            n_lanes=6, n_words=1, local_steps=67,
+            stream=[0, 0, 1, 1, 1, 2], chunk=[6, 6, 10, 10, 10, 7],
+            warm=[0, 6, 0, 10, 10, 0], base=[0, 0, 12, 12, 22, 42],
+            wave0=[0, 0, 0, 0, 10, 0], n_inj=[9, 12, 13, 23, 20, 7],
+            offset=[0, 0, 0, 0, 30, 0], keep_lo=[0, 18, 0, 30, 30, 0],
+            keep_hi=[18, 43, 30, 60, 67, 28], stream_waves=[12, 30, 7],
+            stream_base=[0, 12, 42], stream_steps=[43, 97, 28],
+        ),
+        ((40,), False, 7): dict(
+            n_lanes=7, n_words=1, local_steps=91,
+            stream=[0] * 7, chunk=[6, 6, 6, 6, 6, 5, 5],
+            warm=[0, 4, 4, 4, 4, 4, 4], base=[0, 2, 8, 14, 20, 26, 31],
+            wave0=[0, 2, 8, 14, 20, 26, 31], n_inj=[7, 11, 11, 11, 11, 10, 9],
+            offset=[0, 18, 72, 126, 180, 234, 279],
+            keep_lo=[0, 36, 36, 36, 36, 36, 36],
+            keep_hi=[54, 90, 90, 90, 90, 81, 82], stream_waves=[40],
+            stream_base=[0], stream_steps=[361],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNBALANCED_PLANS, key=str))
+    def test_unbalanced_plans_are_unchanged(self, unbalanced_netlist, case):
+        lengths, pipelined, lanes = case
+        compiled = compile_netlist(unbalanced_netlist)
+        plan = _plan_lanes(
+            lengths, compiled.depth, compiled.n_phases,
+            wave_separation(compiled.depth, compiled.n_phases, pipelined),
+            compiled.balanced, compiled.n_components, lanes=lanes,
+            step_overhead=planner_step_overhead(False),
+        )
+        got = {
+            name: value.tolist() if hasattr(value, "tolist") else value
+            for name, value in vars(plan).items()
+        }
+        assert got == self.UNBALANCED_PLANS[case]
+
+    def test_plans_are_memoized_read_only(self, balanced_netlist):
+        compiled = compile_netlist(balanced_netlist)
+        args = ((32,) * 5, compiled.depth, compiled.n_phases, 3,
+                compiled.balanced, compiled.n_components)
+        plan = _plan_lanes(*args, step_overhead=planner_step_overhead(True))
+        again = _plan_lanes(
+            *args, step_overhead=planner_step_overhead(True)
+        )
+        assert again is plan
+        with pytest.raises(ValueError):
+            plan.chunk[0] = 0
+
+    def test_a_served_batch_runs_the_plan_its_sizing_made(
+        self, balanced_netlist
+    ):
+        # the batcher sizes a batch with plan_stream_batch; the pass
+        # that runs it must find that plan in the memo
+        streams = [_vectors(balanced_netlist.n_inputs, 9, seed=s)
+                   for s in range(7)]
+        plan_stream_batch(balanced_netlist, [9] * 7)
+        hits = _plan_lanes.cache_info().hits
+        simulate_streams_packed(balanced_netlist, streams)
+        assert _plan_lanes.cache_info().hits == hits + 1
 
     def test_plan_matches_simulation(self, balanced_netlist):
         # the described plan is the plan the run actually uses: forcing

@@ -193,6 +193,25 @@ class TestFaultPlan:
         )
         assert certain.injected()["pipe_eof"] == 20
 
+    def test_skipped_draws_keep_the_sequence_and_leave_injected(self):
+        # a transport that cannot run a drawn fault reports it skipped:
+        # the draws stay those of an untouched plan (replays match), and
+        # the count moves from injected() to skipped()
+        rates = FaultRates(hang=0.5, slow=0.5)
+        plain = FaultPlan(4, rates)
+        noted = FaultPlan(4, rates)
+        for _ in range(40):
+            fault = noted.next_fault()
+            assert fault == plain.next_fault()
+            if fault is not None and fault.kind == "hang":
+                noted.note_skipped("hang")
+        hangs = plain.injected()["hang"]
+        assert hangs > 0
+        assert noted.injected() == {**plain.injected(), "hang": 0}
+        assert noted.skipped() == {
+            kind: hangs if kind == "hang" else 0 for kind in FAULT_KINDS
+        }
+
     def test_priority_order_first_firing_kind_wins(self):
         plan = FaultPlan(0, FaultRates(crash_before_dispatch=1.0, slow=1.0))
         fault = plan.next_fault()
