@@ -18,12 +18,6 @@ This bench makes that claim measurable.  For each tracking variant it
    public ``lanes=`` override — the timed path never sees the patched
    constant, only the plan shape it implies.
 
-The elided variant is also swept on served batches: equal 32-wave
-requests of ctrl and i2c, planned by the multi-stream split, which
-has no ``lanes=`` override, so each batch runs with the swept constant
-patched in.  A multiplier's rate is then the geometric mean of its
-single-stream and batch rates, i.e. each case counts by its ratio.
-
 The committed constant passes when its throughput is within
 ``--tolerance`` (default 35%) of the best swept multiplier — i.e. it
 sits on the plateau.  ``--check`` turns that into an exit-code gate.
@@ -45,9 +39,7 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
-    plan_stream_batch,
     random_vectors,
-    simulate_streams_packed,
     simulate_waves_packed,
     wave_pipeline,
 )
@@ -65,16 +57,6 @@ MULTIPLIERS = (1 / 64, 1 / 16, 1 / 4, 1, 4, 16, 64)
 #: waves) and the run long enough to time, but small enough for CI.
 FULL_CASE = ("ctrl", 4096)
 QUICK_CASE = ("ctrl", 1024)
-
-#: (netlist, requests) of the elided variant's batch cases, 32 waves
-#: per request: the request shape of the serving benchmark, whose
-#: batches hold 9-40 requests.
-FULL_BATCHES = (
-    ("ctrl", 9), ("ctrl", 24), ("ctrl", 40),
-    ("i2c", 9), ("i2c", 24), ("i2c", 40),
-)
-QUICK_BATCHES = (("ctrl", 24), ("i2c", 24))
-BATCH_WAVES = 32
 
 TRIALS = 3
 
@@ -95,62 +77,10 @@ def _variant_track(elided: bool):
     return None if elided else True
 
 
-def _best_wall(run) -> float:
-    """Best mean wall time of *run* over ``TRIALS`` minimum windows."""
-    # calibrate repeats so one trial fills the minimum window
-    started = time.perf_counter()
-    run()
-    once = time.perf_counter() - started
-    repeats = max(1, int(MIN_WINDOW_S / once) if once else 1)
-    best = once
-    for _ in range(TRIALS):
-        started = time.perf_counter()
-        for _ in range(repeats):
-            run()
-        best = min(best, (time.perf_counter() - started) / repeats)
-    return best
-
-
-def _sweep_batches(elided: bool, swept: int, batches, clocking) -> list:
-    """Plan and time every batch case with the swept constant patched in."""
-    track = _variant_track(elided)
-    committed = kernels.PLANNER_STEP_OVERHEAD[elided]
-    kernels.PLANNER_STEP_OVERHEAD[elided] = swept
-    rows = []
-    try:
-        for name, netlist, streams in batches:
-            plan = plan_stream_batch(
-                netlist, [len(stream) for stream in streams],
-                clocking=clocking, track=track,
-            )
-            wall = _best_wall(
-                lambda: simulate_streams_packed(
-                    netlist, streams, clocking=clocking, track=track,
-                    validate=False,
-                )
-            )
-            rows.append({
-                "netlist": name,
-                "requests": len(streams),
-                "lanes": plan["lanes"],
-                "words": plan["words"],
-                "steps": plan["steps"],
-                "waves_per_s": plan["total_waves"] / wall,
-            })
-    finally:
-        kernels.PLANNER_STEP_OVERHEAD[elided] = committed
-    return rows
-
-
 def sweep_variant(
-    elided: bool, netlist, stream, clocking: ClockingScheme, batches=()
+    elided: bool, netlist, stream, clocking: ClockingScheme
 ) -> dict:
-    """Sweep and time one tracking variant's constant.
-
-    *batches* holds ``(name, netlist, streams)`` cases timed as served
-    batches; with any, a multiplier's ``score`` is the geometric mean of
-    its single-stream and batch rates.
-    """
+    """Sweep and time one tracking variant's constant."""
     committed = kernels.PLANNER_STEP_OVERHEAD[elided]
     track = _variant_track(elided)
     n_waves = len(stream)
@@ -174,28 +104,37 @@ def sweep_variant(
             "steps": plan["steps"],
             "elided_tracking": plan["elided_tracking"],
         }
-        point["wall_s"] = _best_wall(
-            lambda: simulate_waves_packed(
+
+        def run() -> None:
+            simulate_waves_packed(
                 netlist, stream, clocking=clocking,
                 lanes=plan["lanes"], track=track,
             )
-        )
-        point["waves_per_s"] = n_waves / point["wall_s"]
-        point["batches"] = _sweep_batches(elided, swept, batches, clocking)
-        rates = [point["waves_per_s"]]
-        rates += [row["waves_per_s"] for row in point["batches"]]
-        point["score"] = float(numpy.exp(numpy.mean(numpy.log(rates))))
+
+        # calibrate repeats so one trial fills the minimum window
+        started = time.perf_counter()
+        run()
+        once = time.perf_counter() - started
+        repeats = max(1, int(MIN_WINDOW_S / once) if once else 1)
+        best = once
+        for _ in range(TRIALS):
+            started = time.perf_counter()
+            for _ in range(repeats):
+                run()
+            mean = (time.perf_counter() - started) / repeats
+            best = min(best, mean)
+        point["wall_s"] = best
+        point["waves_per_s"] = n_waves / best if best else 0.0
         points.append(point)
-    scores = {p["multiplier"]: p["score"] for p in points}
-    best_score = max(scores.values())
+    rates = {p["multiplier"]: p["waves_per_s"] for p in points}
+    best_rate = max(rates.values())
     return {
         "elided": elided,
         "committed_overhead": committed,
         "points": points,
-        "committed_rate": scores[1],
-        "best_rate": best_score,
-        "best_multiplier": max(scores, key=scores.get),
-        "committed_vs_best": scores[1] / best_score if best_score else 1.0,
+        "committed_rate": rates[1],
+        "best_rate": best_rate,
+        "committed_vs_best": rates[1] / best_rate if best_rate else 1.0,
     }
 
 
@@ -214,21 +153,15 @@ def print_sweep_table(variants, file=sys.stderr) -> None:
         )
         print(
             f"  {'mult':>6} {'overhead':>10} {'lanes':>6} "
-            f"{'words':>6} {'steps':>7} {'waves/s':>12} {'score':>12}"
-            "  batch lanes",
+            f"{'words':>6} {'steps':>7} {'waves/s':>12}",
             file=file,
         )
         for point in variant["points"]:
             marker = " <- committed" if point["multiplier"] == 1 else ""
-            batch_lanes = ",".join(
-                f"{row['netlist']}x{row['requests']}:{row['lanes']}"
-                for row in point["batches"]
-            ) or "-"
             print(
                 f"  {point['multiplier']:>6g} {point['overhead']:>10.3g} "
                 f"{point['lanes']:>6} {point['words']:>6} "
-                f"{point['steps']:>7} {point['waves_per_s']:12.0f} "
-                f"{point['score']:12.0f}  {batch_lanes}{marker}",
+                f"{point['steps']:>7} {point['waves_per_s']:12.0f}{marker}",
                 file=file,
             )
         print(
@@ -262,27 +195,9 @@ def main(argv=None) -> int:
     ).reshape(n_waves, netlist.n_inputs)
     # compile + scratch warm-up outside every timed window
     simulate_waves_packed(netlist, stream[:256], clocking=clocking)
-    batches = []
-    for batch_name, n_requests in (
-        QUICK_BATCHES if args.quick else FULL_BATCHES
-    ):
-        served = wave_pipeline(
-            build_benchmark(batch_name), fanout_limit=3, verify=False
-        ).netlist
-        streams = [
-            numpy.asarray(
-                random_vectors(served.n_inputs, BATCH_WAVES, seed=index),
-                dtype=bool,
-            ).reshape(BATCH_WAVES, served.n_inputs)
-            for index in range(n_requests)
-        ]
-        simulate_streams_packed(served, streams, clocking=clocking)
-        batches.append((batch_name, served, streams))
 
     variants = [
-        sweep_variant(
-            elided, netlist, stream, clocking, batches if elided else ()
-        )
+        sweep_variant(elided, netlist, stream, clocking)
         for elided in sorted(kernels.PLANNER_STEP_OVERHEAD)
     ]
 
@@ -299,11 +214,6 @@ def main(argv=None) -> int:
     document = {
         "benchmark": "planner_overhead",
         "case": {"netlist": name, "waves": n_waves},
-        "batch_cases": [
-            {"netlist": batch_name, "requests": len(streams),
-             "waves_per_request": BATCH_WAVES}
-            for batch_name, _, streams in batches
-        ],
         "platform": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,

@@ -67,27 +67,39 @@ QUICK_CASES = (
     (("ctrl", "i2c"), 48, 16, 48, 2, 2, True),
 )
 
-#: Minimum wall time of each side's repeated passes, seconds.  One solo
-#: pass of the quick headline case takes about 0.02 s and one served
-#: closed loop about 9 ms: single timings that short swing with the
-#: host (the load generator shares a core with the server in CI), so
-#: each side repeats passes for at least this long and reports the
-#: median pass.
+#: Minimum wall time of each side's passes, seconds.  One solo pass of
+#: the quick headline case takes about 0.02 s and one served closed
+#: loop about 9 ms: single timings that short swing with the host (the
+#: load generator shares a core with the server in CI, and the solo
+#: rate alone jumps between two levels from run to run), so the two
+#: sides alternate passes, one solo then one served, until each has run
+#: for at least this long, and each reports its median pass.  Both
+#: medians then come from the same stretch of host time.
 MIN_TIMED_S = 0.5
 
 
-def median_pass(run):
-    """Repeat ``run() -> (waves_per_s, result)`` for ``MIN_TIMED_S``.
+def alternating_passes(solo_pass, served_pass):
+    """Alternate ``solo_pass()`` and ``served_pass()``, each returning
+    ``(waves_per_s, result)``, until each side ran ``MIN_TIMED_S``.
 
-    Returns the median pass's rate and result, then every pass's result.
+    Returns the solo passes and the served passes, in run order.
     """
-    passes = []
-    started = time.perf_counter()
-    while not passes or time.perf_counter() - started < MIN_TIMED_S:
-        passes.append(run())
+    solo, served = [], []
+    solo_s = served_s = 0.0
+    while min(solo_s, served_s) < MIN_TIMED_S:
+        started = time.perf_counter()
+        solo.append(solo_pass())
+        middle = time.perf_counter()
+        served.append(served_pass())
+        solo_s += middle - started
+        served_s += time.perf_counter() - middle
+    return solo, served
+
+
+def median_pass(passes):
+    """The median ``(waves_per_s, result)`` pair of *passes*."""
     ranked = sorted(passes, key=lambda item: item[0])
-    rate, result = ranked[len(ranked) // 2]
-    return rate, result, [item[1] for item in passes]
+    return ranked[len(ranked) // 2]
 
 
 def bench_case(
@@ -139,19 +151,6 @@ def bench_case(
         ]
         return total_waves / (time.perf_counter() - started), reports
 
-    solo_rate, solo, solo_runs = median_pass(solo_pass)
-    identical = all(reports == solo for reports in solo_runs)
-    oracle_identical = None
-    if oracle_check:
-        # the scalar oracle as the identity reference (row lists — the
-        # scalar loop does not consume ndarray blocks)
-        oracle = [
-            simulate_waves(model, stream.tolist(), clocking=clocking,
-                           engine="python")
-            for model, stream in zip(models, requests)
-        ]
-        oracle_identical = oracle == solo
-
     with SimulationServer(
         shards=shards,
         process_shards=process_shards,
@@ -172,11 +171,26 @@ def bench_case(
             )
             return load.waves_per_s, load
 
-        _, median, loads = median_pass(served_pass)
-        identical = identical and all(
-            load.reports == solo for load in loads
+        solo_passes, served_passes = alternating_passes(
+            solo_pass, served_pass
         )
         metrics = server.metrics.snapshot()
+
+    solo_rate, solo = median_pass(solo_passes)
+    _, median = median_pass(served_passes)
+    identical = all(
+        reports == solo for _, reports in solo_passes
+    ) and all(load.reports == solo for _, load in served_passes)
+    oracle_identical = None
+    if oracle_check:
+        # the scalar oracle as the identity reference (row lists — the
+        # scalar loop does not consume ndarray blocks)
+        oracle = [
+            simulate_waves(model, stream.tolist(), clocking=clocking,
+                           engine="python")
+            for model, stream in zip(models, requests)
+        ]
+        oracle_identical = oracle == solo
 
     return {
         "benchmark": "+".join(names),
@@ -187,8 +201,8 @@ def bench_case(
         "shards": shards,
         "process_shards": process_shards,
         "total_waves": total_waves,
-        "solo_passes": len(solo_runs),
-        "served_passes": len(loads),
+        "solo_passes": len(solo_passes),
+        "served_passes": len(served_passes),
         "solo_seconds": round(total_waves / solo_rate, 6),
         "served_seconds": round(median.elapsed_s, 6),
         "solo_waves_per_s": round(solo_rate, 1),

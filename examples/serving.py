@@ -64,13 +64,13 @@ covers:
     rejected + shard-failed == offered) must balance;
 12. streaming sessions — ``server.open_stream(netlist)`` returns a
     session whose ``feed(waves) -> Future`` calls all run against
-    *one* persistent packed engine: the plan is compiled once, the
-    scratch and state matrices stay warm between feeds, and new waves
-    are appended to the lanes a checkpointable ``SessionState`` keeps
-    resumable.  Feeds are sticky to one shard, a worker crash replays
-    the session's feed log bit-identically from the last checkpoint
-    (a counted ``replay``), and ``stream.metrics()`` exposes the
-    per-session counters.  ``SimulationClient.open_stream`` mirrors
+    *one* packed engine session: the netlist is compiled once, and
+    the feeds waiting in the session run together as one overlap-free
+    block (on a wave-ready netlist no wave depends on another, so no
+    simulation state outlives a block).  Feeds are sticky to one
+    shard, a worker crash replays the session's feed log
+    bit-identically (a counted ``replay``), and ``stream.metrics()``
+    exposes the per-session counters.  ``SimulationClient.open_stream`` mirrors
     the same session over the socket with typed ``SessionClosed`` /
     ``ConnectionLost`` semantics, and ``run_streaming`` /
     ``repro serve-bench --stream`` load-test it: ten 64-wave feeds
@@ -426,12 +426,11 @@ def main() -> None:
         assert np.array_equal(outputs, solo.bits)
         print(
             f"\nstreaming   : {session_stats['feeds']} feeds / "
-            f"{session_stats['waves']} waves through one warm plan, "
+            f"{session_stats['waves']} waves through one session, "
             f"outputs bit-identical to one solo run: "
             f"{np.array_equal(outputs, solo.bits)}"
         )
-        # the same session state is checkpointable: a worker crash
-        # replays the feed log from the last checkpoint (stream
+        # a worker crash replays the session's feed log (stream
         # metrics count it as a 'replay'), and the server-wide
         # snapshot keeps session traffic out of the request ledger
         m = server.metrics.snapshot()

@@ -1074,7 +1074,7 @@ def _run_streaming_bench(args: argparse.Namespace, out) -> int:
         print(
             f"latency   : p50 {load.p50_s * 1e3:.1f} ms, "
             f"p99 {load.p99_s * 1e3:.1f} ms per feed (queueing and "
-            "pump pipelining included)",
+            "shared runs included)",
             file=out,
         )
         if load.replays or load.failed:

@@ -13,7 +13,6 @@ from .batch import (
 )
 from .kernels import (
     CompiledWaveNetlist,
-    SessionSnapshot,
     SessionState,
     can_elide_tracking,
     compile_cache_stats,
@@ -57,7 +56,6 @@ __all__ = [
     "PAPER_PHASES",
     "PackedSession",
     "SessionFeed",
-    "SessionSnapshot",
     "SessionState",
     "WaveInterference",
     "WaveNetlist",

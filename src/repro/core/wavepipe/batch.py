@@ -68,20 +68,18 @@ decoded, by ``np.packbits`` / ``np.unpackbits`` along the lane axis
 and to one bool per (slot, input or output, lane).
 
 **Streaming sessions.**  :func:`open_packed_session` returns a
-:class:`PackedSession` that keeps one
-:class:`~repro.core.wavepipe.kernels.SessionState` alive across
-``feed()`` calls: new waves are appended to the existing lanes at the
-next free injection slot and the pipeline is never drained between
-feeds, so a long-lived client pays the ``depth``-step fill exactly once
-instead of once per request.  Sessions require a *wave-ready* (balanced)
-netlist — on an unbalanced one a wave's outputs depend on waves injected
-*after* it (the reason one-shot lanes carry a forward overlap), so a
-chunked feed sequence could not reproduce the solo run bit-identically
-even in principle.  On balanced netlists the same argument that elides
-tracking makes every wave's output a function of its own inputs alone,
-which is what lets ``tests/test_streaming.py`` assert that any split of
-a wave schedule into feeds matches the solo run of the concatenation,
-bit for bit, with tracking elided or forced.
+:class:`PackedSession` that takes waves in ``feed()`` chunks and runs
+the pending ones together as one one-shot block, so a run of many feeds
+pays the ``depth``-step fill once.  Sessions require a *wave-ready*
+(balanced) netlist — on an unbalanced one a wave's outputs depend on
+waves injected *after* it (the reason one-shot lanes carry a forward
+overlap), so a chunked feed sequence could not reproduce the solo run
+bit-identically even in principle.  On balanced netlists the same
+argument that elides tracking makes every wave's output a function of
+its own inputs alone, so blocks need no state from one another, and
+``tests/test_streaming.py`` asserts that any split of a wave schedule
+into feeds matches the solo run of the concatenation, bit for bit, with
+tracking elided or forced.
 
 The scalar engine remains the oracle; ``tests/test_batch_engine.py`` and
 ``tests/test_kernels.py`` property-test this module against it on
@@ -93,7 +91,6 @@ batches, and both tracking variants.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -104,8 +101,6 @@ from .clocking import ClockingScheme
 from .components import WaveNetlist
 from .kernels import (
     CompiledWaveNetlist,
-    SessionState,
-    _retire_slot_count,
     can_elide_tracking,
     compile_netlist,
     planner_step_overhead,
@@ -119,8 +114,6 @@ from .simulator import (
     _validate_vectors,
     wave_separation,
 )
-
-_WORD = np.uint64
 
 #: Wave streams carried per packed state word.
 LANES_PER_WORD = 64
@@ -544,6 +537,26 @@ def plan_stream_batch(
     }
 
 
+def _run_table(
+    compiled: CompiledWaveNetlist,
+    separation: int,
+    elide: bool,
+    plan: _LanePlan,
+    bits: np.ndarray,
+    strict: bool,
+) -> tuple[np.ndarray, list]:
+    """Pack the ``(waves, inputs)`` table *bits*, run *plan*, and decode:
+    returns the ``(waves, outputs)`` result matrix and the kept events."""
+    inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
+    ret_words, events = run_plan(
+        compiled, plan, inj_words, inj_masks, inj_active, separation,
+        strict, elide=elide,
+    )
+    if strict and events:
+        raise _interference_error(events[0][3])
+    return _unpack_outputs(ret_words, plan), events
+
+
 def _packed_reports(
     netlist: WaveNetlist,
     streams: Sequence[Sequence[Sequence[bool]]],
@@ -579,16 +592,9 @@ def _packed_reports(
 
     live = [index for index, report in enumerate(reports) if report is None]
     bits = _vector_bits([streams[index] for index in live], netlist.n_inputs)
-    inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
-    ret_words, events = run_plan(
-        compiled, plan, inj_words, inj_masks, inj_active, separation,
-        strict, elide=elide,
+    results, events = _run_table(
+        compiled, separation, elide, plan, bits, strict
     )
-
-    if strict and events:
-        raise _interference_error(events[0][3])
-    results = _unpack_outputs(ret_words, plan)
-
     for position, index in enumerate(live):
         lo = int(plan.stream_base[position])
         hi = lo + int(plan.stream_waves[position])
@@ -668,23 +674,14 @@ def simulate_streams_packed(
 
 
 # ----------------------------------------------------------------------
-# streaming sessions (resumable packed state)
+# streaming sessions (feeds run as overlap-free one-shot blocks)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SlotRecord:
-    """One injected-but-not-yet-retired session slot."""
-
-    slot: int  # absolute injection slot (retires at slot*sep + depth)
-    first_wave: int  # global index of the slot's first wave
-    count: int  # waves injected this slot (they occupy lanes [0, count))
-
-
 class SessionFeed:
     """Handle for one :meth:`PackedSession.feed` call.
 
-    ``report`` blocks — by draining the session — until every wave of
-    the feed has retired; ``done`` peeks without forcing anything.  The
-    report is bit-identical to the corresponding slice of a one-shot
+    ``report`` blocks — by flushing the session — until the feed's waves
+    have run; ``done`` peeks without forcing anything.  The report is
+    bit-identical to the corresponding slice of a one-shot
     :func:`simulate_waves_packed` run over the concatenation of every
     feed's waves (``tests/test_streaming.py`` proves exactly that).
     """
@@ -707,75 +704,39 @@ class SessionFeed:
 
     @property
     def report(self) -> WaveSimulationReport:
-        """The feed's report, draining the session if still in flight."""
+        """The feed's report, flushing the session if still pending."""
         if self._report is None:
             self._session.flush()
-        assert self._report is not None  # flush retires every fed wave
+        assert self._report is not None  # flush runs every fed wave
         return self._report
 
 
-def _pack_session_slots(
-    bits: np.ndarray, n_lanes: int, n_words: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Pack a pending wave block slot-major for one session advance.
-
-    Wave ``j`` of the block goes to (relative) slot ``j // n_lanes``,
-    lane ``j % n_lanes`` — slots fill from lane 0, so a session's wave
-    order across slots enumerates the global wave sequence exactly like
-    a one-shot plan's kept (lane, slot) pairs do.  Returns ``(words,
-    masks, active)`` with the :func:`_pack_injections` meanings, packed
-    one word at a time with shift/or reductions (the lane codec measured
-    no faster on the few waves of one feed).
-    """
-    n_waves, n_inputs = bits.shape
-    n_slots = -(-n_waves // n_lanes)
-    slots = np.arange(n_slots, dtype=np.int64)
-    lane_idx = np.arange(n_lanes, dtype=np.int64)
-    wave_of = slots[:, None] * n_lanes + lane_idx[None, :]
-    valid = wave_of < n_waves  # (n_slots, n_lanes) bool
-    words = np.zeros((n_slots, n_inputs, n_words), dtype=_WORD)
-    masks = np.zeros((n_slots, n_words), dtype=_WORD)
-    for word in range(n_words):
-        lo = word * LANES_PER_WORD
-        hi = min(lo + LANES_PER_WORD, n_lanes)
-        shift = np.arange(hi - lo, dtype=_WORD)
-        bit = np.left_shift(_WORD(1), shift)
-        gathered = bits[np.clip(wave_of[:, lo:hi], 0, n_waves - 1)]
-        gathered[~valid[:, lo:hi]] = False
-        words[:, :, word] = np.bitwise_or.reduce(
-            np.left_shift(gathered.astype(_WORD), shift[None, :, None]),
-            axis=1,
-        )
-        masks[:, word] = np.bitwise_or.reduce(
-            np.where(valid[:, lo:hi], bit[None, :], _WORD(0)), axis=1
-        )
-    active = [np.nonzero(valid[slot])[0] for slot in range(n_slots)]
-    return words, masks, active
-
-
 class PackedSession:
-    """Resumable packed simulation: feed waves in chunks, resume warm.
-
-    The session owns one :class:`~repro.core.wavepipe.kernels.SessionState`
-    whose absolute step counter, value matrix, and (``track=True``)
-    wave-id matrix survive between :meth:`feed` calls.  Feeds are
-    *lazy*: waves accumulate until :meth:`pump`, :meth:`flush`,
-    :meth:`close`, or a feed's ``report`` forces an advance, so
-    back-to-back feeds pack into as few injection slots as one wide
-    one-shot run would use — which is how a 10x64-wave session matches
-    one 640-wave solo run's throughput (``benchmarks/bench_streaming.py``
-    asserts the >= 0.9x acceptance bar).  The serving layer calls
-    :meth:`pump` after every feed instead, trading a little width for
-    promptly resolved futures.
+    """Streaming simulation: feed waves in chunks, run them in blocks.
 
     Sessions demand a wave-ready netlist
     (:func:`~repro.core.wavepipe.kernels.can_elide_tracking` must hold):
-    on an unbalanced netlist a wave's outputs depend on *later* waves,
-    so streaming bit-identity with the solo run is causally impossible
-    — :class:`~repro.errors.SimulationError` says so at open time
+    there a wave's outputs depend on its own inputs alone, so a session
+    carries no simulation state from one block of waves to the next.
+    Pending feeds are concatenated and simulated as one overlap-free
+    one-shot run (the planner, lane codec and kernels of
+    :func:`simulate_waves_packed`); each feed's report is its row slice
+    of that run, with ``steps_run`` on the session's own timeline, so it
+    equals the slice of one solo run over every feed's waves.  On an
+    unbalanced netlist a wave's outputs depend on *later* waves, so
+    :class:`~repro.errors.SimulationError` refuses it at open time
     instead of silently diverging.  ``track=True`` still forces the
-    tracked kernels (outputs identical, interference provably empty),
-    keeping both kernel variants exercisable.
+    tracked kernels (outputs identical, interference provably empty).
+
+    Feeds are *lazy*: waves accumulate until :meth:`pump` finds enough
+    to fill every lane the planner may use (:data:`MAX_PLANNED_WORDS`
+    words, or the ``lanes=`` pin) — past that, waiting widens no plan —
+    or until :meth:`flush`, :meth:`close` or a feed's ``report`` runs
+    them all.  A run pays the ``depth``-step fill once for all its feeds,
+    which is how a 10x64-wave session pumped after every feed keeps
+    within 10% of one 640-wave solo run (``benchmarks/bench_streaming.py``
+    asserts it).  The serving layer pumps while feeds queue behind one
+    another and flushes when its queue empties.
 
     Use as a context manager or :meth:`close` explicitly — the
     lifecycle lint tracks sessions like files and locks.
@@ -790,47 +751,34 @@ class PackedSession:
         lanes: Optional[int] = None,
         validate: bool = True,
     ) -> None:
-        clocking = clocking or ClockingScheme()
         self._netlist = netlist
-        self._compiled = compile_netlist(netlist, clocking)
-        if self._compiled.depth == 0:
+        self._clocking = clocking or ClockingScheme()
+        self._pipelined = pipelined
+        self._track = track
+        compiled = compile_netlist(netlist, self._clocking)
+        if compiled.depth == 0:
             raise SimulationError("cannot wave-simulate a depth-0 netlist")
+        self._depth = compiled.depth
         self._separation = wave_separation(
-            self._compiled.depth, self._compiled.n_phases, pipelined
+            compiled.depth, compiled.n_phases, pipelined
         )
-        if not can_elide_tracking(self._compiled, self._separation):
+        if not can_elide_tracking(compiled, self._separation):
             raise SimulationError(
                 "streaming sessions require a wave-ready (path-balanced) "
                 "netlist: on an unbalanced netlist a wave's outputs depend "
                 "on waves injected after it, so chunked feeds cannot "
                 "reproduce the solo run bit-identically"
             )
-        self._elide = resolve_tracking(
-            self._compiled, self._separation, track
-        )
+        self._elide = resolve_tracking(compiled, self._separation, track)
         self._validate = validate
-        if lanes is not None:
-            self._lane_cap = max(1, int(lanes))
-            self._fixed_lanes = True
-        else:
-            self._lane_cap = MAX_PLANNED_WORDS * LANES_PER_WORD
-            self._fixed_lanes = False
-        self._state: Optional[SessionState] = None
-        self._pending: list[np.ndarray] = []
-        self._pending_waves = 0
-        #: feeds whose report is not built yet, in feed order, and built
-        #: ones take_done() has not handed out: a feed the caller took
-        #: is no longer referenced here, so neither is its report
-        self._unresolved: "deque[SessionFeed]" = deque()
-        self._done: list[SessionFeed] = []
+        self._lanes = None if lanes is None else max(1, int(lanes))
+        #: pending waves that fill every lane a run may use
+        self._run_at = self._lanes or MAX_PLANNED_WORDS * LANES_PER_WORD
+        self._pending: list[np.ndarray] = []  # blocks fed, not yet run
+        self._unresolved: list[SessionFeed] = []  # their feeds, in order
+        self._done: list[SessionFeed] = []  # resolved, not handed out
         self._n_feeds = 0
-        #: retired output rows of waves [_out_base, _n_fed): one growable
-        #: bool matrix; rows of resolved feeds are dropped on regrowth
-        self._out = np.zeros((0, netlist.n_outputs), dtype=bool)
-        self._out_base = 0
-        self._slots: "deque[_SlotRecord]" = deque()
         self._n_fed = 0
-        self._n_injected = 0
         self._n_retired = 0
         self._closed = False
 
@@ -847,10 +795,9 @@ class PackedSession:
     def feed(self, vectors: Sequence[Sequence[bool]]) -> SessionFeed:
         """Append waves to the session; returns a lazy report handle.
 
-        The waves are *scheduled*, not yet simulated: simulation happens
-        on the next :meth:`pump` / :meth:`flush` / :meth:`close` (or
-        when some feed's ``report`` is read), packed into as few
-        injection slots as the lane width allows.
+        The waves are *scheduled*, not yet simulated: they run on a
+        :meth:`pump` that finds enough pending waves, on :meth:`flush` /
+        :meth:`close`, or when some feed's ``report`` is read.
         """
         if self._closed:
             raise SessionClosed("feed() on a closed session")
@@ -859,45 +806,28 @@ class PackedSession:
         count = len(vectors)
         handle = SessionFeed(self, self._n_feeds, self._n_fed, count)
         self._n_feeds += 1
-        self._unresolved.append(handle)
         self._n_fed += count
+        self._unresolved.append(handle)
         if count:
-            bits = np.asarray(vectors, dtype=bool).reshape(
-                count, self._netlist.n_inputs
-            )
-            self._pending.append(bits)
-            self._pending_waves += count
-            self._reserve_rows()
-        self._resolve_ready()
+            self._pending.append(np.asarray(vectors, dtype=bool))
+        elif self._n_fed == self._n_retired:
+            self._resolve(None)  # an empty feed with nothing before it
         return handle
 
     def pump(self) -> list[SessionFeed]:
-        """Inject every pending wave and harvest retirements reached.
-
-        Advances the state exactly to the last new injection step — the
-        pipeline stays full, nothing is drained.  Returns the feeds
-        newly resolved by the harvested retirements (the serving layer's
-        per-feed heartbeat; equivalent to :meth:`take_done` right after
-        the injection pass).
-        """
+        """Run the pending waves if they fill a run, then hand out the
+        feeds resolved since the last call (like :meth:`take_done`)."""
         if self._closed:
             raise SessionClosed("pump() on a closed session")
-        self._inject_pending()
-        return self.take_done()
+        if self._n_fed - self._n_retired >= self._run_at:
+            self._run()
+        done, self._done = self._done, []
+        return done
 
     def flush(self) -> None:
-        """Inject all pending waves, then drain until every one retired.
-
-        After ``flush`` every feed handed out so far has ``done`` set.
-        The state remains usable: further feeds resume from the drained
-        step (paying a fresh fill, as any drain must).
-        """
-        self._inject_pending()
-        if self._state is not None and self._slots:
-            last_slot = self._slots[-1].slot
-            target = last_slot * self._separation + self._compiled.depth + 1
-            self._advance_to(target)
-        self._resolve_ready()
+        """Run every pending wave; afterwards every feed handed out so
+        far has ``done`` set, and further feeds start a new run."""
+        self._run()
 
     def take_done(self) -> list[SessionFeed]:
         """Feeds newly resolved since the last call, in feed order."""
@@ -905,14 +835,14 @@ class PackedSession:
         return done
 
     def close(self) -> None:
-        """Drain the session and refuse further feeds (idempotent)."""
+        """Flush the session and refuse further feeds (idempotent)."""
         if self._closed:
             return
         self.flush()
         self._closed = True
 
     def discard(self) -> None:
-        """Close without draining: drop pending waves and in-flight state.
+        """Close without running: drop the pending waves.
 
         Feeds that never resolved stay unresolved forever — the serving
         layer uses this for cancelled sessions (their futures fail with
@@ -920,9 +850,7 @@ class PackedSession:
         """
         self._closed = True
         self._pending = []
-        self._pending_waves = 0
-        self._slots.clear()
-        self._state = None
+        self._unresolved = []
 
     def __enter__(self) -> "PackedSession":
         return self
@@ -934,170 +862,53 @@ class PackedSession:
         """JSON-friendly session snapshot (metrics / CLI surface)."""
         return {
             "elided_tracking": self._elide,
-            "lanes": self._state.n_lanes if self._state else 0,
-            "words": self._state.n_words if self._state else 0,
-            "step": self._state.step if self._state else 0,
             "feeds": self._n_feeds,
             "waves_fed": self._n_fed,
             "waves_retired": self._n_retired,
-            "pending_waves": self._pending_waves,
+            "pending_waves": sum(len(block) for block in self._pending),
             "closed": self._closed,
         }
 
     # -- internals -----------------------------------------------------
-    def _inject_pending(self) -> None:
-        if not self._pending_waves:
-            return
+    def _run(self) -> None:
+        """Simulate the pending waves as one one-shot run."""
+        if not self._pending:
+            return  # no feed waits: empty ones resolve as they come
         bits = (
             self._pending[0]
             if len(self._pending) == 1
             else np.concatenate(self._pending, axis=0)
         )
-        n_waves = self._pending_waves
         self._pending = []
-        self._pending_waves = 0
-
-        if self._fixed_lanes:
-            n_lanes = self._lane_cap
-        else:
-            floor = self._state.n_lanes if self._state is not None else 1
-            n_lanes = min(self._lane_cap, max(floor, n_waves))
-        n_words = -(-n_lanes // LANES_PER_WORD)
-        if self._state is None:
-            self._state = SessionState(
-                self._compiled, self._separation, elide=self._elide,
-                n_lanes=n_lanes, n_words=n_words,
-            )
-        elif (
-            n_lanes > self._state.n_lanes or n_words > self._state.n_words
-        ):
-            self._state.widen(n_lanes, n_words)
-        state = self._state
-        n_lanes, n_words = state.n_lanes, state.n_words
-
-        sep = self._separation
-        slot0 = -(-state.step // sep)  # next injection slot not yet fired
-        words, masks, active = _pack_session_slots(bits, n_lanes, n_words)
-        n_slots = words.shape[0]
-        for j in range(n_slots):
-            self._slots.append(
-                _SlotRecord(
-                    slot0 + j,
-                    self._n_injected + j * n_lanes,
-                    min(n_lanes, n_waves - j * n_lanes),
-                )
-            )
-        self._n_injected += n_waves
-        target = (slot0 + n_slots - 1) * sep + 1  # one past last injection
-        self._advance(words, masks, active, slot0, target)
-
-    def _advance_to(self, target_step: int) -> None:
-        """Advance with no new injections (the drain half of a flush)."""
-        state = self._state
-        assert state is not None
-        if target_step <= state.step:
-            return
-        n_inputs = self._netlist.n_inputs
-        words = np.zeros((0, n_inputs, state.n_words), dtype=_WORD)
-        masks = np.zeros((0, state.n_words), dtype=_WORD)
-        self._advance(words, masks, [], 0, target_step)
-
-    def _advance(
-        self,
-        words: np.ndarray,
-        masks: np.ndarray,
-        active: list,
-        slot0: int,
-        target_step: int,
-    ) -> None:
-        state = self._state
-        assert state is not None
-        depth = self._compiled.depth
-        sep = self._separation
-        ret_slot0 = _retire_slot_count(state.step, depth, sep)
-        n_ret = _retire_slot_count(target_step, depth, sep) - ret_slot0
-        ret_words = np.empty(
-            (n_ret, self._compiled.out_node.size, state.n_words),
-            dtype=_WORD,
+        compiled, separation, elide, plan = _plan_run(
+            self._netlist, [len(bits)], self._clocking, self._pipelined,
+            self._track, self._lanes,
         )
-        state.advance(
-            target_step - state.step, words, masks, active, slot0,
-            ret_words, ret_slot0,
-        )
-        self._harvest(ret_words, ret_slot0)
+        assert plan is not None  # the block holds waves
+        run, _ = _run_table(compiled, separation, elide, plan, bits, False)
+        self._resolve(run)
 
-    def _harvest(self, ret_words: np.ndarray, ret_slot0: int) -> None:
-        for i in range(ret_words.shape[0]):
-            retire_slot = ret_slot0 + i
-            if self._slots and self._slots[0].slot < retire_slot:
-                raise SimulationError(
-                    "session retirement bookkeeping out of order "
-                    "(internal error)"
-                )
-            if not self._slots or self._slots[0].slot != retire_slot:
-                continue  # retire step with no in-flight slot (idle gap)
-            rec = self._slots.popleft()
-            lanes = np.arange(rec.count, dtype=np.int64)
-            word_of = lanes // LANES_PER_WORD
-            bit_of = (lanes % LANES_PER_WORD).astype(_WORD)
-            row = ret_words[i]  # (n_outputs, n_words)
-            lo = rec.first_wave - self._out_base
-            self._out[lo:lo + rec.count] = (
-                (row.T[word_of] >> bit_of[:, None]) & _WORD(1)
+    def _resolve(self, run: Optional[np.ndarray]) -> None:
+        """Resolve every unresolved feed: their waves, if any, are the
+        rows of *run*, the outputs of the waves after the last retired."""
+        first = self._n_retired
+        depth, separation = self._depth, self._separation
+        for feed in self._unresolved:
+            start, count = feed.start, feed.count
+            if not count:
+                feed._report = _empty_report(depth, self._netlist.n_outputs)
+                continue
+            assert run is not None  # only a run retires waves
+            # positional: a session builds one report per feed
+            feed._report = WaveSimulationReport(
+                run[start - first:start - first + count], depth,
+                (start + count - 1) * separation + depth + 1,
+                count, count, [],
             )
-            self._n_retired += rec.count
-        self._resolve_ready()
-
-    def _reserve_rows(self) -> None:
-        """Make room in the output matrix for every wave fed so far.
-
-        Rows of feeds that already resolved are dead (each report holds
-        a copy), so the live tail moves to the front before the matrix
-        grows; growth doubles, so a session's feeds cost amortized O(1)
-        row moves per wave and its memory follows the unresolved waves,
-        not the session's length.
-        """
-        need = self._n_fed - self._out_base
-        if need <= self._out.shape[0]:
-            return
-        live_from = (
-            self._unresolved[0].start if self._unresolved else self._n_fed
-        )
-        live = self._out[live_from - self._out_base:need]
-        need -= live_from - self._out_base
-        self._out_base = live_from
-        if need > self._out.shape[0]:
-            grown = np.zeros(
-                (max(need, 2 * self._out.shape[0]), self._out.shape[1]),
-                dtype=bool,
-            )
-            grown[:len(live)] = live
-            self._out = grown
-        else:
-            self._out[:len(live)] = live  # numpy copies overlapping rows safely
-
-    def _resolve_ready(self) -> None:
-        depth = self._compiled.depth
-        sep = self._separation
-        while self._unresolved:
-            feed = self._unresolved[0]
-            if feed.count == 0:
-                feed._report = _empty_report(depth, self._out.shape[1])
-            elif feed.start + feed.count <= self._n_retired:
-                lo = feed.start - self._out_base
-                feed._report = WaveSimulationReport(
-                    bits=self._out[lo:lo + feed.count].copy(),
-                    latency_steps=depth,
-                    steps_run=(
-                        (feed.start + feed.count - 1) * sep + depth + 1
-                    ),
-                    waves_injected=feed.count,
-                    waves_retired=feed.count,
-                    interference=[],
-                )
-            else:
-                break
-            self._done.append(self._unresolved.popleft())
+        if run is not None:
+            self._n_retired += run.shape[0]
+        self._done += self._unresolved
+        self._unresolved = []
 
 
 def open_packed_session(
@@ -1111,10 +922,9 @@ def open_packed_session(
     """Open a :class:`PackedSession` over *netlist* (see its docstring).
 
     Arguments mirror :func:`simulate_waves_packed`; *lanes* pins the lane
-    width (the differential tests use it to hold the state at exactly 1
-    or 3 words), otherwise the session grows its lanes with demand up to
-    :data:`MAX_PLANNED_WORDS` words.  Raises
-    :class:`~repro.errors.SimulationError` when the netlist is not
+    count of every run (the differential tests pin 1- and 3-word runs)
+    and the pending waves a :meth:`~PackedSession.pump` waits for.
+    Raises :class:`~repro.errors.SimulationError` when the netlist is not
     wave-ready — streaming bit-identity is impossible without balance.
     """
     return PackedSession(

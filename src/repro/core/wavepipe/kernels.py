@@ -57,18 +57,15 @@ preallocated ``(n_retire_slots, n_outputs, n_words)`` array; the per-wave
 bit extraction happens once, vectorized, after the loop (in
 ``batch.py``'s report merging) instead of per retirement inside it.
 
-Resumable sessions
-------------------
+Run state
+---------
 :class:`SessionState` packages everything the step loop owns — the
 packed value matrix, the wave-id matrix, the reusable scratch buffers,
-and the *absolute* step counter — so the loop can pause after step k and
-continue later with newly injected waves appended to the existing lanes.
-Both variants run over absolute steps with explicit ``(step0, slot0,
-ret_slot0)`` offsets; the one-shot entry points drive them with zero
-offsets over a fresh state, the streaming path
-(:class:`repro.core.wavepipe.batch.PackedSession`) re-enters them with
-whatever step the previous feed left behind.  There is deliberately no
-second loop implementation to drift from the one-shot kernels.
+and the absolute step counter.  :func:`run_plan` allocates one per run,
+advances it across the plan's whole timeline, and drops it; streaming
+sessions (:class:`repro.core.wavepipe.batch.PackedSession`) run each
+block of feeds the same way, since on the wave-ready netlists they
+accept no wave depends on another, so no state outlives a run.
 """
 
 from __future__ import annotations
@@ -105,10 +102,9 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 PLANNER_STEP_OVERHEAD = {
     # tracked: the int32 wave-id matrix dominates
     False: 400_000,
-    # elided: a lane is one bit of uint64 across ~10 in-place ops; the
-    # sweep's best over one stream and served batches, on which a wider
-    # value (a second state word) costs i2c ~3x per gather
-    True: 1_000_000,
+    # elided: a lane is one bit of uint64 across ~10 in-place ops,
+    # ~30x cheaper than a tracked wave-id element
+    True: 4_000_000,
 }
 
 
@@ -313,47 +309,21 @@ def resolve_tracking(
 # shared retirement arithmetic
 # ----------------------------------------------------------------------
 def _retire_slot_count(local_steps: int, depth: int, separation: int) -> int:
-    """Retire steps (``step >= depth``, aligned) inside the local loop.
-
-    Equivalently: the number of retire slots whose retire step lies
-    *strictly before* absolute step ``local_steps`` — the streaming path
-    uses it in that reading to derive ``ret_slot0`` for a resumed loop.
-    """
+    """Retire steps (``step >= depth``, aligned) inside the local loop."""
     if local_steps <= depth:
         return 0
     return (local_steps - 1 - depth) // separation + 1
 
 
 # ----------------------------------------------------------------------
-# resumable session state
+# run state
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, eq=False)
-class SessionSnapshot:
-    """Checkpoint of a :class:`SessionState` (arrays defensively copied)."""
-
-    step: int
-    n_lanes: int
-    n_words: int
-    value: np.ndarray
-    wave: np.ndarray
-
-
 class SessionState:
-    """Everything the step loop owns, packaged to pause and resume.
+    """Everything the step loop owns during one packed run.
 
-    A one-shot packed run allocates this fresh, advances it across the
-    plan's whole timeline, and throws it away.  A streaming session keeps
-    it alive between feeds: the absolute ``step`` counter, the packed
-    ``(n_components, n_words)`` value matrix and — tracked variants —
-    the ``(n_components, n_lanes)`` wave-id matrix persist, while the
-    per-phase scratch buffers are reused across advances and rebuilt
-    transparently when the session :meth:`widen`\\ s.  :meth:`snapshot` /
-    :meth:`restore` give the serving tier its checkpoint primitive.
-
-    Sessions step through :meth:`advance`, which runs the *same* kernels
-    as the one-shot path, only with non-zero (step, slot, retire-slot)
-    offsets — bit-identity between a resumed loop and a solo loop is a
-    property of sharing the loop, not of a parallel implementation.
+    The ``(n_components, n_words)`` value matrix, the tracked variant's
+    ``(n_components, n_lanes)`` wave-id matrix, the absolute ``step``
+    counter, and the per-phase scratch buffers, built on first use.
     """
 
     __slots__ = (
@@ -395,7 +365,7 @@ class SessionState:
         self._phases: Optional[list] = None
         self._in_buf: Optional[np.ndarray] = None
 
-    # -- scratch (rebuilt lazily after widen/restore) ------------------
+    # -- scratch (built on first use) ----------------------------------
     def _scratch(self) -> tuple:
         if self._phases is None:
             self._phases = [
@@ -409,89 +379,6 @@ class SessionState:
                 (self.compiled.inputs.size, self.n_words), dtype=_WORD
             )
         return self._phases, self._in_buf
-
-    # -- checkpointing -------------------------------------------------
-    def snapshot(self) -> SessionSnapshot:
-        """Copy-out checkpoint; :meth:`restore` rewinds to it exactly."""
-        return SessionSnapshot(
-            self.step, self.n_lanes, self.n_words,
-            self.value.copy(), self.wave.copy(),
-        )
-
-    def restore(self, snap: SessionSnapshot) -> None:
-        """Rewind to *snap* (lane/word geometry restored too)."""
-        if snap.n_lanes != self.n_lanes or snap.n_words != self.n_words:
-            self._phases = None
-            self._in_buf = None
-        self.step = snap.step
-        self.n_lanes = snap.n_lanes
-        self.n_words = snap.n_words
-        self.value = snap.value.copy()
-        self.wave = snap.wave.copy()
-
-    def widen(self, n_lanes: int, n_words: int) -> None:
-        """Append fresh lanes/words without disturbing in-flight waves.
-
-        New lanes start exactly like a fresh run's: all-zero value bits
-        and (tracked) wave id ``-1`` everywhere but the constant row.
-        Shrinking is refused — retiring lanes simply stop being fed.
-        """
-        if n_lanes < self.n_lanes or n_words < self.n_words:
-            raise SimulationError("session state can only widen, not shrink")
-        if n_lanes == self.n_lanes and n_words == self.n_words:
-            return
-        value = np.zeros(
-            (self.compiled.n_components, n_words), dtype=_WORD
-        )
-        value[:, : self.n_words] = self.value
-        self.value = value
-        if not self.elide:
-            wave = np.full(
-                (self.compiled.n_components, n_lanes), -1, dtype=np.int32
-            )
-            wave[:, : self.n_lanes] = self.wave
-            wave[0, self.n_lanes:] = -2
-            self.wave = wave
-        self.n_lanes = int(n_lanes)
-        self.n_words = int(n_words)
-        self._phases = None
-        self._in_buf = None
-
-    # -- streaming advance ---------------------------------------------
-    def advance(
-        self,
-        n_steps: int,
-        inj_words: np.ndarray,
-        inj_masks: np.ndarray,
-        inj_active: list,
-        slot0: int,
-        ret_words: np.ndarray,
-        ret_slot0: int,
-    ) -> None:
-        """Run ``n_steps`` absolute steps with new injections appended.
-
-        Injection slot ``s`` (absolute, ``s * separation >= step``) reads
-        row ``s - slot0`` of the injection arrays; retire slot ``r``
-        snapshots into row ``r - ret_slot0`` of ``ret_words``.  Session
-        creation is gated on :func:`can_elide_tracking`, which makes
-        interference statically impossible — any event the tracked
-        kernels record is therefore an internal contract violation and
-        raises instead of being reported.
-        """
-        keep_lo = np.zeros(self.n_lanes, dtype=np.int64)
-        keep_hi = np.full(
-            self.n_lanes, np.iinfo(np.int64).max, dtype=np.int64
-        )
-        offset = np.zeros(self.n_lanes, dtype=np.int64)
-        if _advance(
-            self, n_steps, inj_words, inj_masks, inj_active, slot0,
-            ret_words, ret_slot0, keep_lo, keep_hi, offset, False,
-        ):
-            raise SimulationError(
-                "interference inside a streaming session: sessions "
-                "require a wave-ready (balanced) netlist, which makes "
-                "interference impossible — the session state is corrupt"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -596,9 +483,8 @@ def _advance(
     n_steps)``: injection slot ``s`` (absolute) fires at step ``s *
     separation`` and reads row ``s - slot0`` of the injection arrays,
     retire slot ``r`` snapshots into row ``r - ret_slot0`` of
-    ``ret_words``.  The one-shot path drives it with zero offsets over a
-    fresh state; the streaming path re-enters with the previous feed's
-    step.  ``raw_events`` rows are ``(flat_maj_index, step, lane, wa,
+    ``ret_words``.  :func:`run_plan` drives it with zero offsets over a
+    fresh state.  ``raw_events`` rows are ``(flat_maj_index, step, lane, wa,
     wb, wc)`` in the tracked variant (empty when elided); event
     materialization and ordering live in :func:`run_plan`.
     """

@@ -9,7 +9,7 @@ Public surface:
   asyncio façade (see :mod:`repro.serve.server` for the architecture);
 * :class:`ServerSession` — streaming sessions
   (``server.open_stream(netlist)``): ``feed(waves) -> Future`` against
-  one persistent packed engine, sticky worker routing, crash recovery
+  one packed engine session, sticky worker routing, crash recovery
   by bit-identical feed-log replay, per-session metrics, drain-aware
   close (mirrored over the wire by
   :meth:`SimulationClient.open_stream`);

@@ -912,10 +912,10 @@ class ServerSession:
     """One streaming simulation session (see :meth:`SimulationServer.open_stream`).
 
     A session is a stateful counterpart of :meth:`SimulationServer.submit`:
-    every :meth:`feed` appends waves to **one persistent packed engine**
-    (:class:`~repro.core.wavepipe.batch.PackedSession`) instead of
-    packing a fresh batch, so the pipeline fill and the per-plan state
-    are amortized across the whole stream.  Feeds resolve through
+    every :meth:`feed` appends waves to **one packed engine session**
+    (:class:`~repro.core.wavepipe.batch.PackedSession`), which runs the
+    feeds waiting in it together as one overlap-free block, so the
+    pipeline fill is paid once per block rather than once per feed.  Feeds resolve through
     futures, in feed order, with reports bit-identical to the matching
     slice of one solo run over the concatenated waves.
 
@@ -926,10 +926,11 @@ class ServerSession:
     with process shards in a worker process, sticky to one slot
     (``hash(route key) % n_workers``); with thread shards in the
     server's own core, stepped on the dispatcher thread.  A feed
-    dequeued with more feeds behind it is *pumped* (inject only — the
-    pipeline stays warm); a feed that empties the queue is *flushed* so
-    its future resolves promptly — a blocking feed-then-wait client
-    never deadlocks, and a pipelined client keeps the engine hot.
+    dequeued with more feeds behind it is *pumped* (it waits for the
+    feeds behind it unless the waiting waves already fill a run); a
+    feed that empties the queue is *flushed* so its future resolves
+    promptly — a blocking feed-then-wait client never deadlocks, and a
+    pipelined client's feeds share runs.
 
     Supervision: losing the worker mid-session (crash, hang, injected
     chaos) does not lose the stream — the session keeps a **feed log**
@@ -1133,8 +1134,8 @@ class ServerSession:
                 else:
                     drain = self._drain
                     break
-            # backlog => pump (keep the pipeline warm for the feeds
-            # right behind); empty queue => flush (resolve promptly)
+            # backlog => pump (let the feeds right behind share its
+            # run); empty queue => flush (resolve promptly)
             self._process(item, flush=not backlog)
         self._finish(drain)
         self._done.set()

@@ -146,9 +146,9 @@ class TestPackedSessionDifferential:
         """N chunked feeds == solo slices, for any split-point vector.
 
         ``pump_mask`` interleaves explicit ``pump()`` calls between the
-        feeds, so the property also covers mid-stream checkpoints: the
-        state pauses after step k and continues with newly injected
-        waves appended to the existing lanes.
+        feeds, so the property also covers runs that split the stream
+        mid-way (a pump runs the pending waves once they fill a run's
+        lanes, which a 16-lane pin reaches within the schedule).
         """
         waves, solo, expected = _expected_reports(
             netlist, schedule, seed=seed
@@ -183,16 +183,16 @@ class TestPackedSessionDifferential:
         assert outputs == oracle.outputs
 
     def test_widening_mid_stream_stays_identical(self):
-        """A stream that outgrows its first word widens losslessly."""
+        """Runs of different widths in one stream stay identical."""
         netlist = _balanced()
-        schedule = [3, 200, 61]  # 3 waves fit 1 word; 200 forces 4
+        schedule = [3, 200, 61]  # 3 waves fit 1 word; 200 need 4
         waves, solo, expected = _expected_reports(netlist, schedule, seed=1)
         with open_packed_session(netlist) as session:
             start = 0
             handles = []
             for count in schedule:
                 handles.append(session.feed(waves[start:start + count]))
-                session.pump()  # advance between feeds: real widening
+                session.flush()  # one run per feed, each its own width
                 start += count
             reports = [handle.report for handle in handles]
         _check_reports(session.separation, schedule, reports, expected)
@@ -241,6 +241,22 @@ class TestSessionLifecycle:
             done += session.flush() or session.take_done()
             assert [handle.index for handle in done] == [0]
             assert session.take_done() == []  # cursor advanced
+
+    def test_pump_runs_once_the_pending_waves_fill_a_run(self):
+        """A run holds the pinned 16 lanes' worth of waves: the first
+        10-wave feed waits, the second feed's pump runs both."""
+        netlist = _balanced()
+        waves = random_vectors(netlist.n_inputs, 20, seed=4)
+        with open_packed_session(netlist, lanes=16) as session:
+            first = session.feed(waves[:10])
+            assert session.pump() == [] and not first.done
+            assert session.describe()["pending_waves"] == 10
+            second = session.feed(waves[10:])
+            assert session.pump() == [first, second]
+            assert session.describe()["pending_waves"] == 0
+        assert [
+            row for handle in (first, second) for row in handle.report.outputs
+        ] == simulate_waves(netlist, waves).outputs
 
     def test_describe_snapshot(self):
         netlist = _balanced()
