@@ -148,7 +148,7 @@ class TestPackedSessionDifferential:
         ``pump_mask`` interleaves explicit ``pump()`` calls between the
         feeds, so the property also covers runs that split the stream
         mid-way (a pump runs the pending waves once they fill a run's
-        lanes, which a 16-lane pin reaches within the schedule).
+        lanes, which a 16-lane pin lets most schedules do).
         """
         waves, solo, expected = _expected_reports(
             netlist, schedule, seed=seed
