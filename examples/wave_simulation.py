@@ -11,14 +11,12 @@ Simulates a 4x4 array multiplier under the three-phase regeneration clock:
   buffer insertion is necessary;
 * the bit-packed batched engine (``engine="packed"``) reproduces the
   scalar model bit-for-bit while simulating a long wave stream orders of
-  magnitude faster — the stream is spread across bit-lanes packed into a
-  ``(components, words)`` uint64 matrix, and the planner adds state words
-  as the stream grows (64 lanes per word, unbounded words);
-* the packed engine's step loop (``repro.core.wavepipe.kernels``) is
-  zero-allocation in-place numpy, and on *balanced* netlists the
-  per-lane wave-id tracking is elided entirely, because the clocking
-  discipline makes interference provably impossible.  The tracked and
-  elided kernels return the same report, bit for bit;
+  magnitude faster, 64 waves per uint64 word;
+* on *balanced* netlists the clocking discipline makes interference
+  provably impossible, so the packed engine skips the clock entirely:
+  its functional pass (``repro.core.wavepipe.kernels``) evaluates each
+  wave's outputs one MAJ level at a time.  Forcing the phase-accurate
+  step loop (``track=True``) returns the same report, bit for bit;
 * ``simulate_streams`` batches many independent wave streams (think: one
   request per stream) through the netlist in a single packed pass.
 """
@@ -117,21 +115,20 @@ def main() -> None:
         f"scalar ({scalar_elapsed / packed_elapsed:.0f}x)"
     )
 
-    # the two kernel variants: the balanced netlist lets the engine
-    # drop the wave-id tracking entirely (interference is provably
-    # impossible); forcing the tracked kernels changes nothing but the
-    # speed
+    # the two kernels: the balanced netlist lets the engine skip the
+    # clock and evaluate each wave functionally (interference is
+    # provably impossible); forcing the tracked step loop changes
+    # nothing but the speed
     info = describe_packed_run(ready, len(stream))
+    assert info["functional"]
     tracked = simulate_waves_packed(ready, stream, track=True)
     assert tracked == packed
     print(
-        f"kernels: tracking "
-        f"{'elided' if info['elided_tracking'] else 'tracked'}, "
-        f"plan {info['lanes']} lanes x {info['words']} words; forced "
-        "tracked kernels agree bit-for-bit"
+        f"kernels: functional pass, {info['levels']} MAJ levels x "
+        f"{info['words']} words; the forced step loop agrees bit-for-bit"
     )
     naive_info = describe_packed_run(raw, len(stream))
-    assert not naive_info["elided_tracking"]  # unbalanced: proof fails
+    assert not naive_info["functional"]  # unbalanced: proof fails
 
     # the serving scenario: many independent wave streams, one batch.
     # each report equals simulating that stream alone.

@@ -12,8 +12,8 @@ Subcommands
 ``simulate``
     Phase-accurate wave simulation of a (transformed) benchmark under the
     regeneration clock — ``--engine packed`` uses the bit-packed batched
-    engine (in-place numpy step kernels, with wave-id tracking elided on
-    balanced netlists), ``--engine both`` cross-checks the engines and
+    engine (a functional pass on balanced netlists, in-place numpy step
+    kernels elsewhere), ``--engine both`` cross-checks the engines and
     reports the speedup, ``--streams N`` batches N independent wave
     streams through the netlist in one packed pass (the serving
     scenario).
@@ -113,11 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="phase-accurate wave simulation of a benchmark",
         description="Phase-accurate wave simulation under the "
-        "regeneration clock.  The packed engine's in-place numpy step "
-        "kernels pick their variant automatically: on balanced netlists "
-        "the per-lane wave-id tracking is elided entirely (interference "
-        "is provably impossible), on unbalanced ones the tracked kernels "
-        "reproduce the scalar oracle's interference events bit for bit.",
+        "regeneration clock.  The packed engine picks its kernel "
+        "automatically: on balanced netlists interference is provably "
+        "impossible, so each wave is evaluated functionally, one MAJ "
+        "level at a time; on unbalanced ones the tracked step loop "
+        "reproduces the scalar oracle's interference events bit for bit.",
     )
     simulate.add_argument("source", help="same source syntax as 'flow'")
     simulate.add_argument(
@@ -589,13 +589,17 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
             pipelined=not args.no_pipeline,
             n_streams=max(1, args.streams),
         )
-        tracking = "elided" if info["elided_tracking"] else "tracked"
-        print(
-            f"kernel    : tracking={tracking}, "
-            f"plan={info['lanes']} lanes / {info['words']} words / "
-            f"{info['steps']} steps",
-            file=out,
-        )
+        if info["functional"]:
+            kernel = (
+                f"functional, {info['levels']} MAJ levels / "
+                f"{info['words']} words"
+            )
+        else:
+            kernel = (
+                f"tracked, plan={info['lanes']} lanes / {info['words']} "
+                f"words / {info['steps']} steps"
+            )
+        print(f"kernel    : {kernel}", file=out)
     pipelined = not args.no_pipeline
     engines = ("python", "packed") if args.engine == "both" else (args.engine,)
     # one functional-model rebuild serves every golden comparison below

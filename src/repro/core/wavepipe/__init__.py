@@ -13,7 +13,6 @@ from .batch import (
 )
 from .kernels import (
     CompiledWaveNetlist,
-    SessionState,
     can_elide_tracking,
     compile_cache_stats,
     compile_netlist,
@@ -56,7 +55,6 @@ __all__ = [
     "PAPER_PHASES",
     "PackedSession",
     "SessionFeed",
-    "SessionState",
     "WaveInterference",
     "WaveNetlist",
     "WavePipelineResult",

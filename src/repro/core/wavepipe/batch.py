@@ -6,86 +6,80 @@ front-end :func:`~repro.core.wavepipe.simulator.simulate_streams`.  It
 produces reports that are bit-identical to the scalar reference loop in
 :mod:`repro.core.wavepipe.simulator` — same outputs, same
 :class:`~repro.core.wavepipe.simulator.WaveInterference` events in the same
-order — while advancing the whole netlist with compiled word operations.
+order — while evaluating the whole netlist with compiled word operations.
 
-This module owns only the *planning* half of the engine: lane planning,
-injection packing, and report merging.  The per-clock-step hot loop
-lives in :mod:`repro.core.wavepipe.kernels`: in-place numpy kernels in
-two variants, with or without wave-id tracking (tracking is *elided*
-whenever the netlist's balance proves interference impossible; see the
-kernels module docstring for the elision proof).
+This module owns the *planning* half of the engine: which kernel a run
+takes, lane planning, injection packing, and report building.  The
+kernels live in :mod:`repro.core.wavepipe.kernels`.
 
 Architecture
 ------------
-**64 wave streams per word, unbounded words.**  The wave sequence of length
-``W`` is split into contiguous chunks ("lanes").  Lane *b* carries bit
-``b mod 64`` of word ``b // 64`` in every component's ``(n_words,)`` row of
-the ``(n_components, n_words)`` ``uint64`` state matrix (the packing of the
-golden model in :mod:`repro.core.simulate`, extended along a word axis), so
-one majority update advances all lanes of a component at once and one
-array operation advances every component of the active clock phase.  The
-lane count is unbounded: the planner fills as many words as the stream
-needs, so 10^4–10^5-wave streams run in one pass.  The planner balances
-the kernel's fixed per-step cost against ``components x lanes`` array
-traffic using a **per-variant calibration constant**
-(:data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD` — the elided
-kernels move far less data per lane, so their plans go wider), caps
-itself at :data:`MAX_PLANNED_WORDS` words, and is bypassed entirely by an
-explicit ``lanes=`` override (used by the property tests to pin
-word-boundary behaviour and by the benchmarks).
+**Two kernels, chosen per run.**  A *wave-ready* run — balanced netlist,
+injections at least ``p`` steps apart
+(:func:`~repro.core.wavepipe.kernels.can_elide_tracking`) — takes the
+*functional pass* unless ``track=True`` forces the step loop: its
+``(waves, inputs)`` bit table is packed 64 waves per word and the
+compiled netlist's :class:`~repro.core.wavepipe.kernels.FunctionalNetlist`
+evaluates it one MAJ level per array operation.  It plans no lanes; its
+reports carry ``latency_steps = depth``, ``steps_run = (n - 1) *
+separation + depth + 1``, every wave injected and retired, and no
+events, exactly as the scalar oracle reports them.  Every other run
+steps the tracked loop, planned as follows.
 
-**Overlap only where interference is possible.**  On a balanced netlist
-with injections at least ``p`` steps apart (the condition of
-:func:`~repro.core.wavepipe.kernels.can_elide_tracking`) a wave's outputs
-are a function of its own inputs, so each lane simulates its chunk alone,
-from a cold state, until its last wave retires.  Only an unbalanced
-netlist couples adjacent waves, so only there does a lane re-simulate a
-warm-up prefix (the waves injected during the last ``depth * p`` steps,
-rounded up to whole injection slots, plus one) and a forward suffix
-(``ceil(depth / separation)`` waves) around its chunk.
-Either way every value, wave id, and interference decision inside a lane's
-*kept* step region depends only on injections the lane performed itself,
-so it equals the single-stream reference exactly.  The kept regions tile
-the reference timeline ``[0, total_steps)``, which makes merging trivial:
-events are filtered per lane and sorted by (absolute step, within-phase
-order) — the same order the scalar loop emits them — and the kept
-(lane, slot) retirements enumerate the global wave sequence in order.
+**Tracked runs: 64 lanes per word, unbounded words.**  The wave sequence
+is split into contiguous chunks ("lanes"); lane *b* carries bit ``b mod
+64`` of word ``b // 64`` in every row of the ``(n_components, n_words)``
+``uint64`` state matrix, so one array operation advances every lane of
+every component of the active clock phase.  The planner balances the
+loop's fixed per-step cost (:data:`PLANNER_STEP_OVERHEAD`) against
+``components x lanes`` array traffic, caps itself at
+:data:`MAX_PLANNED_WORDS` words, and is bypassed by an explicit
+``lanes=`` override (the property tests and benchmarks pin word
+boundaries with it); a run that takes the functional pass has no plan
+and refuses ``lanes=``.
 
-**Independent streams share the lane axis.**  :func:`simulate_streams_packed`
-simulates many *independent* wave streams (the serving scenario: one
-request = one stream) in a single pass: every stream receives its own group
-of lanes — planned with the same overlap logic, budgeted proportionally
-to stream length — and because all streams share the netlist, clocking,
-and injection grid, the one phase-update loop advances them together.
-Lanes of different streams never exchange data through the packing (each
-lane only ever reads bits it injected itself), so each stream's report
-equals running :func:`simulate_waves` on it alone.  Plans are memoized on
+**Overlap only where interference is possible.**  On a wave-ready run
+each lane simulates its chunk alone, from a cold state, until its last
+wave retires.  Only an unbalanced netlist couples adjacent waves, so only
+there does a lane re-simulate a warm-up prefix (the waves injected
+during the last ``depth * p`` steps, rounded up to whole injection
+slots, plus one) and a forward suffix (``ceil(depth / separation)``
+waves) around its chunk.  Either way every value, wave id, and
+interference decision inside a lane's *kept* step region depends only on
+injections the lane performed itself, so it equals the single-stream
+reference exactly.  The kept regions tile the reference timeline ``[0,
+total_steps)``, which makes merging trivial: events are filtered per
+lane and sorted by (absolute step, within-phase order) — the same order
+the scalar loop emits them — and the kept (lane, slot) retirements
+enumerate the global wave sequence in order.
+
+**Independent streams share one pass.**  :func:`simulate_streams_packed`
+runs many *independent* wave streams (the serving scenario: one request
+= one stream) as one functional pass over their concatenated waves, or
+as one step loop in which every stream owns a group of lanes.  No
+stream's bits ever meet another's, so each report equals running
+:func:`simulate_waves` on that stream alone.  Lane plans are memoized on
 the batch shape, since serving traffic repeats a few shapes.
 
-**One lane codec.**  Injection words are packed, and retired words
-decoded, by ``np.packbits`` / ``np.unpackbits`` along the lane axis
-(``bitorder="little"``, eight bytes viewed as one ``<u8`` word), from
-and to one bool per (slot, input or output, lane).
+**One lane codec.**  Bits become words, and words bits, through
+``np.packbits`` / ``np.unpackbits`` (``bitorder="little"``, eight bytes
+viewed as one little-endian word).
 
 **Streaming sessions.**  :func:`open_packed_session` returns a
 :class:`PackedSession` that takes waves in ``feed()`` chunks and runs
-the pending ones together as one one-shot block, so a run of many feeds
-pays the ``depth``-step fill once.  Sessions require a *wave-ready*
-(balanced) netlist — on an unbalanced one a wave's outputs depend on
-waves injected *after* it (the reason one-shot lanes carry a forward
-overlap), so a chunked feed sequence could not reproduce the solo run
-bit-identically even in principle.  On balanced netlists the same
-argument that elides tracking makes every wave's output a function of
-its own inputs alone, so blocks need no state from one another, and
-``tests/test_streaming.py`` asserts that any split of a wave schedule
-into feeds matches the solo run of the concatenation, bit for bit, with
-tracking elided or forced.
+the pending ones together as one block.  Sessions require a wave-ready
+netlist — on an unbalanced one a wave's outputs depend on waves injected
+*after* it, so a chunked feed sequence could not reproduce the solo run
+bit-identically even in principle.  On a wave-ready netlist blocks need
+no state from one another, and ``tests/test_streaming.py`` asserts that
+any split of a wave schedule into feeds matches the solo run of the
+concatenation, bit for bit, on either kernel.
 
 The scalar engine remains the oracle; ``tests/test_batch_engine.py`` and
 ``tests/test_kernels.py`` property-test this module against it on
 balanced and deliberately unbalanced netlists across phase counts,
 injection modes, lane overrides straddling word boundaries, multi-stream
-batches, and both tracking variants.
+batches, and both kernels.
 """
 
 from __future__ import annotations
@@ -101,10 +95,9 @@ from .clocking import ClockingScheme
 from .components import WaveNetlist
 from .kernels import (
     CompiledWaveNetlist,
+    FunctionalNetlist,
     can_elide_tracking,
     compile_netlist,
-    planner_step_overhead,
-    resolve_tracking,
     run_plan,
 )
 from .simulator import (
@@ -120,11 +113,20 @@ LANES_PER_WORD = 64
 
 #: Soft cap on the number of state words the *planner* chooses (the
 #: ``lanes=`` override and the one-lane-per-stream floor are unbounded).
-#: 16 words = 1024 lanes keeps the tracked kernels' int32 wave-id matrix
-#: at 4 KiB per component; past that, a wider state matrix stops paying
-#: for its memory traffic even in the elided kernels, and on unbalanced
-#: netlists every extra lane also re-simulates its warm-up.
+#: 16 words = 1024 lanes keeps the step loop's int32 wave-id matrix at
+#: 4 KiB per component; past that, a wider state matrix stops paying for
+#: its memory traffic, and on unbalanced netlists every extra lane also
+#: re-simulates its warm-up.
 MAX_PLANNED_WORDS = 16
+
+#: Planner calibration: the tracked step loop's fixed per-step cost
+#: (interpreter dispatch plus the width-independent array walks), in
+#: component-lane units — one int32 wave-id element processed is one
+#: unit.  Measured on the suite's ctrl/i2c netlists; only the order of
+#: magnitude matters, as the optimum is flat for roughly a decade around
+#: it (``benchmarks/bench_planner_overhead.py`` sweeps it and shows the
+#: plateau).
+PLANNER_STEP_OVERHEAD = 400_000
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,11 @@ def _overlap_slots(
     """Warm-up and forward overlap of one lane, in injection slots.
 
     Zero and zero exactly when
-    :func:`~repro.core.wavepipe.kernels.can_elide_tracking` holds, for
-    either kernel variant: a wave's outputs then depend on its own inputs
-    alone, so a lane starts cold at its first wave (a tracked lane sees
-    only the warming id ``-1`` before it) and stops when its last retires.
+    :func:`~repro.core.wavepipe.kernels.can_elide_tracking` holds (a
+    wave-ready run forced through the step loop): a wave's outputs then
+    depend on its own inputs alone, so a lane starts cold at its first
+    wave (seeing only the warming id ``-1`` before it) and stops when its
+    last retires.
 
     Otherwise the dependence window of one state read, in clock steps: a
     fan-in chain has at most ``depth`` links, and a link steps back up to
@@ -182,7 +185,7 @@ def _overlap_slots(
 
 def _default_lane_count(
     n_waves: int, warm_slots: int, separation: int, depth: int,
-    n_components: int, step_overhead: int,
+    n_components: int, step_overhead: int = PLANNER_STEP_OVERHEAD,
 ) -> int:
     """Planner heuristic: lanes for one stream of *n_waves* waves.
 
@@ -194,10 +197,8 @@ def _default_lane_count(
     ``lanes* = sqrt(n_waves * separation * overhead / (fill * n))``,
     floored to whole words so a marginal win never pays for a wider
     state matrix, and capped at :data:`MAX_PLANNED_WORDS` words.
-    *step_overhead* is the per-variant calibration constant from
-    :func:`~repro.core.wavepipe.kernels.planner_step_overhead`: the
-    elided kernels, with cheaper per-lane traffic, carry a larger
-    constant and therefore plan wider.
+    *step_overhead* is :data:`PLANNER_STEP_OVERHEAD` unless a
+    calibration sweep passes another value.
     """
     if n_waves <= LANES_PER_WORD:
         return n_waves
@@ -244,18 +245,13 @@ def _plan_lanes(
     balanced: bool,
     n_components: int,
     lanes: Optional[int] = None,
-    *,
-    step_overhead: int,
 ) -> _LanePlan:
     """Distribute one or more streams across lanes (see :func:`_overlap_slots`).
 
     *lanes* (single-stream only) overrides the heuristic lane count —
     clamped to ``[1, n_waves]`` — so tests and benchmarks can pin word
-    boundaries regardless of the planner's defaults.  *step_overhead* is
-    the per-variant cost-model constant (see :func:`_default_lane_count`);
-    it is required so the calibration has exactly one source of truth,
-    :data:`~repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD`.  Plans are
-    memoized (an LRU of 32), so their arrays are read-only.
+    boundaries regardless of the planner's defaults.  Plans are memoized
+    (an LRU of 32), so their arrays are read-only.
     """
     warm_slots, forward_slots = _overlap_slots(
         depth, n_phases, separation, balanced
@@ -272,8 +268,7 @@ def _plan_lanes(
         # proportion to stream length
         total = sum(waves_per_stream)
         budget = _default_lane_count(
-            total, warm_slots, separation, depth, n_components,
-            step_overhead,
+            total, warm_slots, separation, depth, n_components
         )
         counts = [max(1, budget * w // total) for w in waves_per_stream]
     else:
@@ -449,29 +444,84 @@ def _interference_error(event: WaveInterference) -> SimulationError:
     )
 
 
-def _plan_run(
+def _resolve_run(
+    netlist: WaveNetlist,
+    clocking: Optional[ClockingScheme],
+    pipelined: bool,
+    track: Optional[bool],
+    lanes: Optional[int],
+) -> tuple[CompiledWaveNetlist, int, bool]:
+    """``(compiled, separation, functional)`` of one run: every entry
+    point resolves its kernel here, so sizing and running agree.
+
+    ``track=None`` takes the functional pass exactly when
+    :func:`~repro.core.wavepipe.kernels.can_elide_tracking` proves
+    interference impossible; ``track=True`` forces the tracked step loop;
+    ``track=False`` *demands* the functional pass and raises when the
+    proof fails.
+    """
+    compiled = compile_netlist(netlist, clocking or ClockingScheme())
+    if compiled.depth == 0:
+        raise SimulationError("cannot wave-simulate a depth-0 netlist")
+    separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
+    safe = can_elide_tracking(compiled, separation)
+    if track is False and not safe:
+        raise SimulationError(
+            "wave-id tracking cannot be elided: interference is possible "
+            "(unbalanced netlist or wave separation below the phase count)"
+        )
+    functional = safe if track is None else not track
+    if functional and lanes is not None:
+        raise SimulationError(
+            "lanes= pins a lane plan of the tracked step loop, but this "
+            "run takes the functional pass; pass track=True to pin lanes"
+        )
+    return compiled, separation, functional
+
+
+def _plan_tracked(
+    compiled: CompiledWaveNetlist,
+    separation: int,
+    live: tuple[int, ...],
+    lanes: Optional[int] = None,
+) -> _LanePlan:
+    """The step loop's lane plan for the non-empty streams *live*."""
+    return _plan_lanes(
+        live, compiled.depth, compiled.n_phases, separation,
+        compiled.balanced, compiled.n_components, lanes,
+    )
+
+
+def _describe(
     netlist: WaveNetlist,
     waves_per_stream: Sequence[int],
     clocking: Optional[ClockingScheme],
     pipelined: bool,
     track: Optional[bool],
     lanes: Optional[int] = None,
-) -> tuple[CompiledWaveNetlist, int, bool, Optional[_LanePlan]]:
-    """``(compiled, separation, elided, plan)`` of one pass over the
-    non-empty streams (``plan`` is ``None`` if there are none): every
-    entry point plans here, so sizing and running a batch share a plan."""
-    compiled = compile_netlist(netlist, clocking or ClockingScheme())
-    if compiled.depth == 0:
-        raise SimulationError("cannot wave-simulate a depth-0 netlist")
-    separation = wave_separation(compiled.depth, compiled.n_phases, pipelined)
-    elided = resolve_tracking(compiled, separation, track)
+) -> dict:
+    """What one pass over *waves_per_stream* would run, without running:
+    the functional pass's MAJ levels and words, or the step loop's lane
+    plan.  Both report ``words``, the packed words per input."""
+    compiled, separation, functional = _resolve_run(
+        netlist, clocking, pipelined, track, lanes
+    )
     live = tuple(int(waves) for waves in waves_per_stream if waves > 0)
-    plan = _plan_lanes(
-        live, compiled.depth, compiled.n_phases, separation,
-        compiled.balanced, compiled.n_components, lanes,
-        step_overhead=planner_step_overhead(elided),
-    ) if live else None
-    return compiled, separation, elided, plan
+    if functional:
+        return {
+            "functional": True,
+            "balanced": compiled.balanced,
+            "levels": len(compiled.functional.levels),
+            "words": -(-sum(live) // LANES_PER_WORD),
+        }
+    plan = _plan_tracked(compiled, separation, live, lanes) if live else None
+    return {
+        "functional": False,
+        "balanced": compiled.balanced,
+        "lanes": plan.n_lanes if plan else 0,
+        "words": plan.n_words if plan else 0,
+        "steps": plan.local_steps if plan else 0,
+    }
 
 
 def describe_packed_run(
@@ -483,25 +533,20 @@ def describe_packed_run(
     track: Optional[bool] = None,
     n_streams: int = 1,
 ) -> dict:
-    """Resolve the kernel/plan one packed run would use, without running.
+    """Resolve the kernel one packed run would use, without running.
 
-    Returns a JSON-friendly dict — tracking elision, netlist balance, and
-    the chosen lane plan — used by the benchmark metadata, the CLI's
-    kernel line, and the planner tests.  *n_streams* > 1 describes a
+    Returns a JSON-friendly dict, used by the benchmark metadata, the
+    CLI's kernel line, and the planner tests: ``functional`` and
+    ``balanced``, then either the functional pass's MAJ ``levels`` and
+    ``words`` (``ceil(waves / 64)``) or the tracked step loop's
+    ``lanes``, ``words`` and ``steps``.  *n_streams* > 1 describes a
     :func:`simulate_streams_packed` batch of equal-length streams
-    (``lanes`` overrides apply to single-stream runs only).
+    (``lanes`` overrides apply to single-stream tracked runs only).
     """
-    compiled, _, elided, plan = _plan_run(
+    return _describe(
         netlist, [n_waves] * max(1, n_streams), clocking, pipelined, track,
         lanes,
     )
-    return {
-        "elided_tracking": elided,
-        "balanced": compiled.balanced,
-        "lanes": plan.n_lanes if plan else 0,
-        "words": plan.n_words if plan else 0,
-        "steps": plan.local_steps if plan else 0,
-    }
 
 
 def plan_stream_batch(
@@ -511,46 +556,35 @@ def plan_stream_batch(
     pipelined: bool = True,
     track: Optional[bool] = None,
 ) -> dict:
-    """Resolve the lane plan one :func:`simulate_streams_packed` batch
-    would use, without running it.
+    """Resolve how one :func:`simulate_streams_packed` batch would run,
+    without running it.
 
     This is the sizing hook of the serving layer: the micro-batcher asks
-    the *existing* lane planner how a candidate batch of per-stream wave
-    counts would pack (lanes, state words, local steps) and records the
-    answer in its metrics, so batch sizing has exactly one source of
-    truth — the planner that will execute the batch.  Zero-wave streams
-    are planned as the empty streams they are (they occupy no lanes).
-
-    Returns a JSON-friendly dict: ``elided_tracking``, ``n_streams``,
-    ``total_waves``, ``lanes``, ``words``, ``steps``.
+    the engine how a candidate batch of per-stream wave counts would pack
+    and records the answer's ``words`` in its metrics, so batch sizing
+    has exactly one source of truth — the code that will execute the
+    batch.  Zero-wave streams take no room.  Returns the dict of
+    :func:`describe_packed_run` plus ``n_streams`` and ``total_waves``.
     """
-    _, _, elided, plan = _plan_run(
-        netlist, waves_per_stream, clocking, pipelined, track
-    )
-    return {
-        "elided_tracking": elided,
-        "n_streams": len(waves_per_stream),
-        "total_waves": int(plan.stream_waves.sum()) if plan else 0,
-        "lanes": plan.n_lanes if plan else 0,
-        "words": plan.n_words if plan else 0,
-        "steps": plan.local_steps if plan else 0,
-    }
+    info = _describe(netlist, waves_per_stream, clocking, pipelined, track)
+    info["n_streams"] = len(waves_per_stream)
+    info["total_waves"] = int(sum(max(0, w) for w in waves_per_stream))
+    return info
 
 
 def _run_table(
     compiled: CompiledWaveNetlist,
     separation: int,
-    elide: bool,
     plan: _LanePlan,
     bits: np.ndarray,
     strict: bool,
 ) -> tuple[np.ndarray, list]:
-    """Pack the ``(waves, inputs)`` table *bits*, run *plan*, and decode:
-    returns the ``(waves, outputs)`` result matrix and the kept events."""
+    """Pack the ``(waves, inputs)`` table *bits*, run *plan* through the
+    tracked step loop, and decode: returns the ``(waves, outputs)``
+    result matrix and the kept events."""
     inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
     ret_words, events = run_plan(
-        compiled, plan, inj_words, inj_masks, inj_active, separation,
-        strict, elide=elide,
+        compiled, plan, inj_words, inj_masks, inj_active, separation, strict
     )
     if strict and events:
         raise _interference_error(events[0][3])
@@ -569,40 +603,45 @@ def _packed_reports(
 ) -> list[WaveSimulationReport]:
     """Shared prologue/epilogue of both packed entry points.
 
-    Validates, compiles, plans, runs the selected kernel, and slices one
-    report per stream (empty streams get clean empty reports).
-    ``simulate_waves_packed`` is the single-stream slice of this; keeping
-    one copy of the control flow means strict-mode and retirement checks
-    cannot drift between the entry points.
+    Validates, compiles, runs the functional pass or plans and runs the
+    step loop, and slices one report per stream (empty streams get clean
+    empty reports).  ``simulate_waves_packed`` is the single-stream
+    slice of this; keeping one copy of the control flow means
+    strict-mode and retirement checks cannot drift between the entry
+    points.
     """
     if validate:
         for vectors in streams:
             _validate_vectors(netlist, vectors)
-    compiled, separation, elide, plan = _plan_run(
-        netlist, [len(vectors) for vectors in streams], clocking, pipelined,
-        track, lanes,
+    compiled, separation, functional = _resolve_run(
+        netlist, clocking, pipelined, track, lanes
     )
     depth = compiled.depth
+    lengths = [len(vectors) for vectors in streams]
+    live = [index for index, n_waves in enumerate(lengths) if n_waves]
     reports: list[Optional[WaveSimulationReport]] = [
-        None if len(vectors) else _empty_report(depth, netlist.n_outputs)
-        for vectors in streams
+        None if n_waves else _empty_report(depth, netlist.n_outputs)
+        for n_waves in lengths
     ]
-    if plan is None:
+    if not live:
         return reports  # type: ignore[return-value]  # every stream empty
 
-    live = [index for index, report in enumerate(reports) if report is None]
     bits = _vector_bits([streams[index] for index in live], netlist.n_inputs)
-    results, events = _run_table(
-        compiled, separation, elide, plan, bits, strict
-    )
+    if functional:
+        results, events = compiled.functional.run(bits), []
+    else:
+        plan = _plan_tracked(
+            compiled, separation, tuple(lengths[index] for index in live),
+            lanes,
+        )
+        results, events = _run_table(compiled, separation, plan, bits, strict)
+    lo = 0
     for position, index in enumerate(live):
-        lo = int(plan.stream_base[position])
-        hi = lo + int(plan.stream_waves[position])
-        n_waves = hi - lo
+        n_waves = lengths[index]
         reports[index] = WaveSimulationReport(
-            bits=results[lo:hi],
+            bits=results[lo:lo + n_waves],
             latency_steps=depth,
-            steps_run=int(plan.stream_steps[position]),
+            steps_run=(n_waves - 1) * separation + depth + 1,
             waves_injected=n_waves,
             waves_retired=n_waves,
             interference=[
@@ -611,6 +650,7 @@ def _packed_reports(
                 if event_stream == position
             ],
         )
+        lo += n_waves
     return reports  # type: ignore[return-value]
 
 
@@ -627,12 +667,14 @@ def simulate_waves_packed(
 
     Accepts the same arguments (minus ``engine``) and returns a report that
     is bit-identical to the scalar reference engine's, including the
-    interference event list and its ordering.  *lanes* overrides the
-    planner's lane count (clamped to ``[1, n_waves]``); *track* forces
-    (``True``) or demands the elision of (``False``) wave-id tracking,
-    ``None`` elides exactly when the static interference-freedom proof
-    holds.  The result is bit-identical for every choice — only the
-    speed/memory trade-off moves.
+    interference event list and its ordering.  *track* forces
+    (``True``) the tracked step loop or demands (``False``) the
+    functional pass; ``None`` takes the functional pass exactly when the
+    static interference-freedom proof holds.  *lanes* overrides the
+    step loop's lane count (clamped to ``[1, n_waves]``) and is refused
+    on a run that takes the functional pass.  The result is
+    bit-identical for every choice — only the speed/memory trade-off
+    moves.
     """
     (report,) = _packed_reports(
         netlist, [vectors], clocking, pipelined, strict, lanes, track=track,
@@ -654,10 +696,10 @@ def simulate_streams_packed(
     Each element of *streams* is a full wave sequence (one vector per
     wave); the returned list holds one report per stream, each
     bit-identical to ``simulate_waves(netlist, stream, ...)`` on that
-    stream alone.  All streams share the netlist and clocking; they are
-    packed side by side across lanes/words so the whole batch advances in
-    a single phase-update loop (the serving scenario).  *track* selects
-    the kernel variant exactly as in :func:`simulate_waves_packed`.
+    stream alone.  All streams share the netlist and clocking, so the
+    whole batch runs as one functional pass or one step loop (the
+    serving scenario).  *track* selects the kernel exactly as in
+    :func:`simulate_waves_packed`.
 
     In strict mode the error matches what the scalar engine would raise
     when the streams are simulated one after another: the first stream (in
@@ -674,7 +716,7 @@ def simulate_streams_packed(
 
 
 # ----------------------------------------------------------------------
-# streaming sessions (feeds run as overlap-free one-shot blocks)
+# streaming sessions (feeds run as one-shot blocks)
 # ----------------------------------------------------------------------
 class SessionFeed:
     """Handle for one :meth:`PackedSession.feed` call.
@@ -718,25 +760,27 @@ class PackedSession:
     (:func:`~repro.core.wavepipe.kernels.can_elide_tracking` must hold):
     there a wave's outputs depend on its own inputs alone, so a session
     carries no simulation state from one block of waves to the next.
-    Pending feeds are concatenated and simulated as one overlap-free
-    one-shot run (the planner, lane codec and kernels of
-    :func:`simulate_waves_packed`); each feed's report is its row slice
-    of that run, with ``steps_run`` on the session's own timeline, so it
+    Pending feeds are simulated as one block: one call of the compiled
+    netlist's functional evaluator, resolved once at open time, or with
+    ``track=True`` one tracked one-shot run (outputs identical,
+    interference provably empty).  Each feed's report is its row slice of
+    that block, with ``steps_run`` on the session's own timeline, so it
     equals the slice of one solo run over every feed's waves.  On an
     unbalanced netlist a wave's outputs depend on *later* waves, so
     :class:`~repro.errors.SimulationError` refuses it at open time
-    instead of silently diverging.  ``track=True`` still forces the
-    tracked kernels (outputs identical, interference provably empty).
+    instead of silently diverging.
 
-    Feeds are *lazy*: waves accumulate until :meth:`pump` finds enough
-    to fill every lane the planner may use (:data:`MAX_PLANNED_WORDS`
-    words, or the ``lanes=`` pin) — past that, waiting widens no plan —
-    or until :meth:`flush`, :meth:`close` or a feed's ``report`` runs
-    them all.  A run pays the ``depth``-step fill once for all its feeds,
-    which is how a 10x64-wave session pumped after every feed keeps
-    within 10% of one 640-wave solo run (``benchmarks/bench_streaming.py``
-    asserts it).  The serving layer pumps while feeds queue behind one
-    another and flushes when its queue empties.
+    Feeds are *lazy*: waves accumulate until :meth:`pump` finds 1,024 of
+    them waiting (or the ``lanes=`` pin of a tracked session), or until
+    :meth:`flush`, :meth:`close` or a feed's ``report`` runs them all.
+    The fixed block bounds how long a block's first feed waits and the
+    pending table's size; a 16-word functional block already costs
+    within 2.5x per wave of a 64-word one on ctrl and i2c.  A block pays
+    its fixed cost once for all its feeds, which is what
+    ``benchmarks/bench_streaming.py`` measures: a 10x64-wave session
+    pumped after every feed against one 640-wave solo run.  The serving
+    layer pumps while feeds queue behind one another and flushes when
+    its queue empties.
 
     Use as a context manager or :meth:`close` explicitly — the
     lifecycle lint tracks sessions like files and locks.
@@ -751,30 +795,30 @@ class PackedSession:
         lanes: Optional[int] = None,
         validate: bool = True,
     ) -> None:
-        self._netlist = netlist
-        self._clocking = clocking or ClockingScheme()
-        self._pipelined = pipelined
-        self._track = track
-        compiled = compile_netlist(netlist, self._clocking)
-        if compiled.depth == 0:
-            raise SimulationError("cannot wave-simulate a depth-0 netlist")
-        self._depth = compiled.depth
-        self._separation = wave_separation(
-            compiled.depth, compiled.n_phases, pipelined
+        compiled, separation, functional = _resolve_run(
+            netlist, clocking, pipelined, track, lanes
         )
-        if not can_elide_tracking(compiled, self._separation):
+        if not can_elide_tracking(compiled, separation):
             raise SimulationError(
                 "streaming sessions require a wave-ready (path-balanced) "
                 "netlist: on an unbalanced netlist a wave's outputs depend "
                 "on waves injected after it, so chunked feeds cannot "
                 "reproduce the solo run bit-identically"
             )
-        self._elide = resolve_tracking(compiled, self._separation, track)
+        self._netlist = netlist
+        self._compiled = compiled
+        self._separation = separation
+        #: the evaluator of a functional session, None for a tracked one
+        self._functional: Optional[FunctionalNetlist] = (
+            compiled.functional if functional else None
+        )
         self._validate = validate
         self._lanes = None if lanes is None else max(1, int(lanes))
-        #: pending waves that fill every lane a run may use
+        #: pending waves that make a pump run them
         self._run_at = self._lanes or MAX_PLANNED_WORDS * LANES_PER_WORD
-        self._pending: list[np.ndarray] = []  # blocks fed, not yet run
+        #: the pending waves, rows [0, _n_pending) of one reused table
+        self._table = np.empty((self._run_at, netlist.n_inputs), dtype=bool)
+        self._n_pending = 0
         self._unresolved: list[SessionFeed] = []  # their feeds, in order
         self._done: list[SessionFeed] = []  # resolved, not handed out
         self._n_feeds = 0
@@ -809,24 +853,30 @@ class PackedSession:
         self._n_fed += count
         self._unresolved.append(handle)
         if count:
-            self._pending.append(np.asarray(vectors, dtype=bool))
+            start, end = self._n_pending, self._n_pending + count
+            if end > len(self._table):
+                grown = np.empty((2 * end, self._table.shape[1]), dtype=bool)
+                grown[:start] = self._table[:start]
+                self._table = grown
+            self._table[start:end] = vectors
+            self._n_pending = end
         elif self._n_fed == self._n_retired:
             self._resolve(None)  # an empty feed with nothing before it
         return handle
 
     def pump(self) -> list[SessionFeed]:
-        """Run the pending waves if they fill a run, then hand out the
+        """Run the pending waves if they fill a block, then hand out the
         feeds resolved since the last call (like :meth:`take_done`)."""
         if self._closed:
             raise SessionClosed("pump() on a closed session")
-        if self._n_fed - self._n_retired >= self._run_at:
+        if self._n_pending >= self._run_at:
             self._run()
         done, self._done = self._done, []
         return done
 
     def flush(self) -> None:
         """Run every pending wave; afterwards every feed handed out so
-        far has ``done`` set, and further feeds start a new run."""
+        far has ``done`` set, and further feeds start a new block."""
         self._run()
 
     def take_done(self) -> list[SessionFeed]:
@@ -849,7 +899,7 @@ class PackedSession:
         :class:`~repro.errors.SessionClosed` instead).  Idempotent.
         """
         self._closed = True
-        self._pending = []
+        self._n_pending = 0
         self._unresolved = []
 
     def __enter__(self) -> "PackedSession":
@@ -861,38 +911,37 @@ class PackedSession:
     def describe(self) -> dict:
         """JSON-friendly session snapshot (metrics / CLI surface)."""
         return {
-            "elided_tracking": self._elide,
+            "functional": self._functional is not None,
             "feeds": self._n_feeds,
             "waves_fed": self._n_fed,
             "waves_retired": self._n_retired,
-            "pending_waves": sum(len(block) for block in self._pending),
+            "pending_waves": self._n_pending,
             "closed": self._closed,
         }
 
     # -- internals -----------------------------------------------------
     def _run(self) -> None:
-        """Simulate the pending waves as one one-shot run."""
-        if not self._pending:
+        """Simulate the pending waves as one block."""
+        if not self._n_pending:
             return  # no feed waits: empty ones resolve as they come
-        bits = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else np.concatenate(self._pending, axis=0)
-        )
-        self._pending = []
-        compiled, separation, elide, plan = _plan_run(
-            self._netlist, [len(bits)], self._clocking, self._pipelined,
-            self._track, self._lanes,
-        )
-        assert plan is not None  # the block holds waves
-        run, _ = _run_table(compiled, separation, elide, plan, bits, False)
+        bits = self._table[:self._n_pending]
+        self._n_pending = 0
+        if self._functional is not None:
+            run = self._functional.run(bits)
+        else:
+            plan = _plan_tracked(
+                self._compiled, self._separation, (len(bits),), self._lanes
+            )
+            run, _ = _run_table(
+                self._compiled, self._separation, plan, bits, False
+            )
         self._resolve(run)
 
     def _resolve(self, run: Optional[np.ndarray]) -> None:
         """Resolve every unresolved feed: their waves, if any, are the
         rows of *run*, the outputs of the waves after the last retired."""
         first = self._n_retired
-        depth, separation = self._depth, self._separation
+        depth, separation = self._compiled.depth, self._separation
         for feed in self._unresolved:
             start, count = feed.start, feed.count
             if not count:
@@ -921,11 +970,13 @@ def open_packed_session(
 ) -> PackedSession:
     """Open a :class:`PackedSession` over *netlist* (see its docstring).
 
-    Arguments mirror :func:`simulate_waves_packed`; *lanes* pins the lane
-    count of every run (the differential tests pin 1- and 3-word runs)
-    and the pending waves a :meth:`~PackedSession.pump` waits for.
-    Raises :class:`~repro.errors.SimulationError` when the netlist is not
-    wave-ready — streaming bit-identity is impossible without balance.
+    Arguments mirror :func:`simulate_waves_packed`.  On a tracked session
+    (``track=True``) *lanes* pins the lane count of every block (the
+    differential tests pin 1- and 3-word runs) and the pending waves a
+    :meth:`~PackedSession.pump` waits for; a functional session refuses
+    it.  Raises :class:`~repro.errors.SimulationError` when the netlist
+    is not wave-ready — streaming bit-identity is impossible without
+    balance.
     """
     return PackedSession(
         netlist, clocking, pipelined=pipelined, track=track, lanes=lanes,

@@ -1,25 +1,14 @@
-"""Step-loop kernels for the packed wave-simulation engine.
+"""Execution kernels of the packed wave-simulation engine.
 
 :mod:`repro.core.wavepipe.batch` owns the *planning* side of the packed
-engine — lane plans, injection packing, report merging.  This module owns
-the *execution* side: the per-clock-step hot loop that advances the
-``(n_components, n_words)`` uint64 state matrix.
+engine: which kernel a run takes, lane plans, injection packing and
+report building.  This module owns the *execution* side, in two kernels.
 
-The loop is whole-array numpy.  All scratch buffers are preallocated once
-per plan and every gather / complement / majority / scatter runs in place
-(``np.take(..., out=)``, ufunc ``out=``), so the loop performs **zero
-per-step allocations** and a fixed, small number of C-dispatched array
-calls per step.  It comes in two variants: *tracked*, which carries a
-wave id per component and lane, and *elided*, which drops it.
-
-Tracking variants (elision)
----------------------------
+The functional pass (wave-ready runs)
+-------------------------------------
 The scalar oracle tracks a wave id per component to detect interference.
-The packed engine mirrors that with an ``(n_components, n_lanes)`` int32
-matrix — which is by far the widest data the tracked loop touches (a lane
-is 4 bytes of wave id but only 1 *bit* of value).  The paper's own
-clocking discipline makes that tracking statically unnecessary on the
-netlists the flow produces (:func:`can_elide_tracking`):
+The paper's own clocking discipline makes that tracking unnecessary on
+the netlists the flow produces (:func:`can_elide_tracking`):
 
     On a *balanced* netlist every BUF/FOG sits exactly one level above
     its fan-in (levels are ``1 + max(fan-in levels)``, single fan-in) and
@@ -32,40 +21,43 @@ netlists the flow produces (:func:`can_elide_tracking`):
     same separation >= p argument wave pipelining rests on in Mahmoud et
     al. 2021 for spin waves.)
 
-When that proof applies, the *elided* kernels drop the wave-id matrix
-entirely — the report's interference list is empty exactly as the scalar
-oracle's would be, in strict and non-strict mode alike.  Whenever the
-proof does not apply (unbalanced netlist, or a separation below ``p``
-handed to :func:`run_plan` directly), the *tracked* kernels run instead
-and reproduce the oracle's events bit for bit.  The choice is per run and
-automatic; ``track=True`` on the packed entry points forces the tracked
-kernels (used by the identity benchmarks), ``track=False`` demands
-elision and raises when it would be unsound.
+So each wave's outputs are the netlist's combinational function of its
+own inputs, retired ``depth`` steps after its injection, and the
+report's interference list is empty exactly as the scalar oracle's would
+be, in strict mode too.  Such a run steps no clock: a
+:class:`FunctionalNetlist` collapses every BUF/FOG chain to its root
+literal, groups the MAJ rows by level, and evaluates one level per array
+operation, 64 waves per ``uint64`` word.  It touches each MAJ row once
+per 64 waves and never a BUF or FOG row.
+:func:`repro.core.wavepipe.verify.simulate_equivalent` runs the same
+evaluator.
+
+The tracked step loop
+---------------------
+Every other run (unbalanced netlist, a separation below ``p`` handed to
+:func:`run_plan` directly, or ``track=True``) steps :func:`run_plan`: an
+``(n_components, n_words)`` uint64 value matrix and an ``(n_components,
+n_lanes)`` int32 wave-id matrix advance one clock phase per step and
+reproduce the oracle's events bit for bit.  All scratch is allocated
+once per run and every gather / complement / majority / scatter runs in
+place (``np.take(..., out=)``, ufunc ``out=``), so the loop performs
+**zero per-step allocations**.  Both kernels allocate their buffers per
+call, so shard threads and session dispatchers may run one compiled
+netlist at the same time.
 
 Compiled layout
 ---------------
-:func:`compile_netlist` (moved here from ``batch.py``) flattens a netlist
-into per-phase tables and — new with the kernel layer — **permutes the
-state rows** so that every phase's MAJ block, every phase's BUF/FOG
-block, and the primary inputs are each *contiguous*: all per-step
-scatters become slice assignments (memcpy) instead of fancy indexing.
-Reported component ids stay in the netlist's own numbering
-(``maj_comp``); the permutation is invisible outside this module.
-
-Both variants retire waves by snapshotting the output words into a
-preallocated ``(n_retire_slots, n_outputs, n_words)`` array; the per-wave
-bit extraction happens once, vectorized, after the loop (in
-``batch.py``'s report merging) instead of per retirement inside it.
-
-Run state
----------
-:class:`SessionState` packages everything the step loop owns — the
-packed value matrix, the wave-id matrix, the reusable scratch buffers,
-and the absolute step counter.  :func:`run_plan` allocates one per run,
-advances it across the plan's whole timeline, and drops it; streaming
-sessions (:class:`repro.core.wavepipe.batch.PackedSession`) run each
-block of feeds the same way, since on the wave-ready netlists they
-accept no wave depends on another, so no state outlives a run.
+:func:`compile_netlist` flattens a netlist into per-phase tables and
+**permutes the state rows** so that every phase's MAJ block, every
+phase's BUF/FOG block, and the primary inputs are each *contiguous*:
+all per-step scatters become slice assignments (memcpy) instead of
+fancy indexing.  Reported component ids stay in the netlist's own
+numbering (``maj_comp``); the permutation is invisible outside this
+module.  The same cache entry holds the netlist's
+:class:`FunctionalNetlist`.  The step loop retires waves by snapshotting
+the output words into a preallocated ``(n_retire_slots, n_outputs,
+n_words)`` array; ``batch.py`` extracts the per-wave bits once,
+vectorized, after the loop.
 """
 
 from __future__ import annotations
@@ -77,11 +69,10 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from ...errors import SimulationError
 from .clocking import ClockingScheme
 from .components import Kind, WaveNetlist
 from .simulator import WaveInterference
-from .verify import is_balanced
+from .verify import _root_literals, is_balanced
 
 if TYPE_CHECKING:  # the plan type lives with the planner
     from .batch import _LanePlan
@@ -89,28 +80,135 @@ if TYPE_CHECKING:  # the plan type lives with the planner
 _WORD = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Planner calibration, keyed by ``elided``: the fixed per-step cost of
-#: each tracking variant (interpreter dispatch plus the width-independent
-#: array walks), in component-lane units — one tracked int32 wave-id
-#: element processed is one unit.  A variant that moves *less* data per
-#: component-lane has a proportionally *larger* constant, pushing the
-#: planner toward wider plans (fewer, wider steps).  Measured on the
-#: suite's ctrl/i2c netlists; only the order of magnitude matters, as the
-#: optimum is flat for roughly a decade around each value
-#: (``benchmarks/bench_planner_overhead.py`` sweeps both constants and
-#: shows the plateau).
-PLANNER_STEP_OVERHEAD = {
-    # tracked: the int32 wave-id matrix dominates
-    False: 400_000,
-    # elided: a lane is one bit of uint64 across ~10 in-place ops,
-    # ~30x cheaper than a tracked wave-id element
-    True: 4_000_000,
-}
+# ----------------------------------------------------------------------
+# the functional pass (levelized MAJ rows, 64 waves per word)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class FunctionalNetlist:
+    """A netlist's combinational function, levelized for word evaluation.
+
+    Value rows: 0 is the constant, ``1..n_inputs`` the inputs in PI order,
+    then the MAJ rows grouped by level.  Level ``k`` of :attr:`levels`
+    is ``(src, neg, lo, hi)``: it writes value rows ``[lo, hi)`` from the
+    ``3 * (hi - lo)`` fan-in rows ``src`` (the first fan-in of every MAJ
+    of the level, then every second, then every third) complemented by
+    the masks ``neg``.  Every BUF/FOG chain is collapsed into those root
+    fan-ins, so no BUF or FOG row exists.  Immutable: each evaluation
+    allocates its own buffers, so threads may share one instance.
+    """
+
+    n_inputs: int
+    n_rows: int  # 1 + n_inputs + MAJ rows
+    width: int  # MAJ rows of the widest level
+    levels: tuple  # per level (src, neg, lo, hi), read-only views
+    out_row: np.ndarray  # (n_outputs,) value row of each output's root
+    out_neg: np.ndarray  # (n_outputs, 1) uint64 complement masks
+
+    @classmethod
+    def build(cls, netlist: WaveNetlist) -> "FunctionalNetlist":
+        """Levelize *netlist* with array operations (rejects cycles)."""
+        levels = netlist.levels()  # raises NetlistError on a cycle
+        kinds, fanins, outputs = netlist.arrays()
+        root = _root_literals(kinds, fanins)
+        majs = np.flatnonzero(kinds == Kind.MAJ)
+        majs = majs[np.argsort(levels[majs], kind="stable")]
+        n_inputs, n_maj = len(netlist.inputs), len(majs)
+        first = 1 + n_inputs
+        row = np.zeros(len(kinds), dtype=np.int64)
+        row[np.asarray(netlist.inputs, dtype=np.int64)] = np.arange(
+            1, first
+        )
+        row[majs] = np.arange(first, first + n_maj)
+        # level k holds MAJ positions [bounds[k], bounds[k + 1]); fan-in j
+        # of position i lands at 3 * bounds[k] + j * size[k] + offset
+        maj_levels = levels[majs]
+        bounds = np.flatnonzero(np.diff(maj_levels, prepend=-1, append=-1))
+        sizes = np.diff(bounds)
+        level_of = np.repeat(np.arange(sizes.size), sizes)
+        lo = bounds[level_of]
+        flat = (2 * lo + np.arange(n_maj))[:, None] + (
+            np.arange(3) * sizes[level_of][:, None]
+        )
+        lits = fanins[majs]
+        lits = root[lits >> 1] ^ (lits & 1)
+        src = np.empty(3 * n_maj, dtype=np.int64)
+        neg = np.empty((3 * n_maj, 1), dtype=_WORD)
+        src[flat] = row[lits >> 1]
+        neg[flat, 0] = _neg_masks(lits)
+        src.flags.writeable = False
+        neg.flags.writeable = False
+        spans = bounds.tolist()
+        out = root[outputs >> 1] ^ (outputs & 1)
+        return cls(
+            n_inputs=n_inputs,
+            n_rows=first + n_maj,
+            width=int(sizes.max(initial=0)),
+            levels=tuple(
+                (src[3 * a:3 * b], neg[3 * a:3 * b], first + a, first + b)
+                for a, b in zip(spans, spans[1:])
+            ),
+            out_row=row[out >> 1],
+            out_neg=_neg_masks(out)[:, None],
+        )
+
+    def evaluate(self, words: np.ndarray) -> np.ndarray:
+        """``(n_inputs, n_words)`` input words -> ``(n_outputs, n_words)``
+        output words, bit *b* of every word one independent pattern."""
+        values = np.empty((self.n_rows, words.shape[1]), dtype=_WORD)
+        values[0] = 0
+        values[1:1 + self.n_inputs] = words
+        gather = np.empty((3 * self.width, words.shape[1]), dtype=_WORD)
+        _evaluate_levels(values, gather, self.levels)
+        out = values[self.out_row]
+        out ^= self.out_neg
+        return out
+
+    def run(self, bits: np.ndarray) -> np.ndarray:
+        """``(waves, n_inputs)`` bools -> read-only ``(waves, n_outputs)``
+        bools: wave *w* rides bit ``w mod 64`` of word ``w // 64``."""
+        n_waves = bits.shape[0]
+        # wave 8j + b is bit b of byte j: bytes of little-endian words.
+        # Both codecs run along a contiguous axis (3-4x faster than
+        # packing across rows) and transpose the bools
+        octets = np.zeros((self.n_inputs, -(-n_waves // 64) * 8), np.uint8)
+        octets[:, :-(-n_waves // 8)] = np.packbits(
+            np.ascontiguousarray(bits.T), axis=1, bitorder="little"
+        )
+        out = self.evaluate(octets.view(_WORD)).view(np.uint8)
+        result = np.ascontiguousarray(
+            np.unpackbits(out, axis=1, count=n_waves, bitorder="little").T
+        ).view(bool)
+        result.flags.writeable = False
+        return result
 
 
-def planner_step_overhead(elided: bool) -> int:
-    """Cost-model constant of the tracked or the elided kernel variant."""
-    return PLANNER_STEP_OVERHEAD[bool(elided)]
+# lint: hot
+def _evaluate_levels(
+    values: np.ndarray, gather: np.ndarray, levels: tuple
+) -> None:
+    """Compute every MAJ row of *values* in place, one level per pass.
+
+    A level's fan-ins sit in earlier rows (a MAJ's root fan-ins lie at
+    lower levels), so each level reads finished rows only.  ``MAJ(a, b,
+    c) = ab | c(a | b)``: four in-place ops over the gathered planes.
+    """
+    take = np.take
+    band = np.bitwise_and
+    bor = np.bitwise_or
+    bxor = np.bitwise_xor
+    for src, neg, lo, hi in levels:
+        m = hi - lo
+        planes = gather[:3 * m]
+        take(values, src, axis=0, out=planes, mode="clip")
+        bxor(planes, neg, out=planes)
+        a = planes[:m]
+        b = planes[m:2 * m]
+        c = planes[2 * m:]
+        acc = values[lo:hi]
+        band(a, b, out=acc)
+        bor(a, b, out=a)
+        band(a, c, out=a)
+        bor(acc, a, out=acc)
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +244,7 @@ class CompiledWaveNetlist:
     buf_comp: np.ndarray  # (B,) original component ids
     buf_src: np.ndarray  # (B,) permuted fan-in state rows
     buf_neg: np.ndarray  # (B,) uint64 complement masks
+    functional: FunctionalNetlist  # the wave-ready runs' evaluator
 
 
 #: netlist -> {n_phases: (netlist.version, CompiledWaveNetlist)}
@@ -260,6 +359,7 @@ def _compile(netlist: WaveNetlist, p: int) -> CompiledWaveNetlist:
         buf_comp=buf_flat.astype(np.int64),
         buf_src=new_row[buf_lits >> 1],
         buf_neg=_neg_masks(buf_lits),
+        functional=FunctionalNetlist.build(netlist),
     )
 
 
@@ -275,114 +375,16 @@ def can_elide_tracking(
 
     Balanced netlist (every fan-in exactly one level behind its consumer)
     plus injections at least ``p`` steps apart means every component only
-    ever combines fan-ins of a single wave — the elided kernels are then
-    bit-identical to the tracked ones with an empty event list, in strict
-    mode too.  Every separation the public entry points produce is a
-    multiple of ``p``; the explicit check guards direct kernel callers.
+    ever combines fan-ins of a single wave: the functional pass is then
+    bit-identical to the tracked step loop with an empty event list, in
+    strict mode too.  Every separation the public entry points produce is
+    a multiple of ``p``; the explicit check guards direct kernel callers.
     """
     return compiled.balanced and separation >= compiled.n_phases
 
 
-def resolve_tracking(
-    compiled: CompiledWaveNetlist, separation: int, track: Optional[bool]
-) -> bool:
-    """Decide wave-id elision for one run, returning ``elided``.
-
-    ``track=None`` elides exactly when :func:`can_elide_tracking` proves
-    interference impossible; ``track=True`` forces the tracked kernels;
-    ``track=False`` *demands* elision and raises when the proof fails.
-    The one shared implementation keeps the entry points' semantics and
-    error message from drifting.
-    """
-    safe = can_elide_tracking(compiled, separation)
-    if track is None:
-        return safe
-    if not track and not safe:
-        raise SimulationError(
-            "wave-id tracking cannot be elided: interference is possible "
-            "(unbalanced netlist or wave separation below the phase count)"
-        )
-    return not track
-
-
 # ----------------------------------------------------------------------
-# shared retirement arithmetic
-# ----------------------------------------------------------------------
-def _retire_slot_count(local_steps: int, depth: int, separation: int) -> int:
-    """Retire steps (``step >= depth``, aligned) inside the local loop."""
-    if local_steps <= depth:
-        return 0
-    return (local_steps - 1 - depth) // separation + 1
-
-
-# ----------------------------------------------------------------------
-# run state
-# ----------------------------------------------------------------------
-class SessionState:
-    """Everything the step loop owns during one packed run.
-
-    The ``(n_components, n_words)`` value matrix, the tracked variant's
-    ``(n_components, n_lanes)`` wave-id matrix, the absolute ``step``
-    counter, and the per-phase scratch buffers, built on first use.
-    """
-
-    __slots__ = (
-        "compiled", "separation", "elide", "n_lanes", "n_words", "step",
-        "value", "wave", "_phases", "_in_buf",
-    )
-
-    def __init__(
-        self,
-        compiled: CompiledWaveNetlist,
-        separation: int,
-        *,
-        elide: bool,
-        n_lanes: int,
-        n_words: int,
-    ) -> None:
-        if n_lanes < 1 or n_words < 1:
-            raise SimulationError(
-                "session state needs at least one lane and one state word"
-            )
-        self.compiled = compiled
-        self.separation = int(separation)
-        self.elide = bool(elide)
-        self.n_lanes = int(n_lanes)
-        self.n_words = int(n_words)
-        self.step = 0
-        self.value = np.zeros(
-            (compiled.n_components, self.n_words), dtype=_WORD
-        )
-        if self.elide:
-            # placeholder so `wave` is an ndarray on both paths; the
-            # elided kernels never touch it
-            self.wave = np.empty((0, 0), dtype=np.int32)
-        else:
-            self.wave = np.full(
-                (compiled.n_components, self.n_lanes), -1, dtype=np.int32
-            )
-            self.wave[0, :] = -2  # constants belong to every wave
-        self._phases: Optional[list] = None
-        self._in_buf: Optional[np.ndarray] = None
-
-    # -- scratch (built on first use) ----------------------------------
-    def _scratch(self) -> tuple:
-        if self._phases is None:
-            self._phases = [
-                _PhaseScratch(
-                    self.compiled, ph, self.n_words, self.n_lanes,
-                    tracked=not self.elide,
-                )
-                for ph in range(self.compiled.n_phases)
-            ]
-            self._in_buf = np.empty(
-                (self.compiled.inputs.size, self.n_words), dtype=_WORD
-            )
-        return self._phases, self._in_buf
-
-
-# ----------------------------------------------------------------------
-# step loop
+# the tracked step loop
 # ----------------------------------------------------------------------
 class _PhaseScratch:
     """Preallocated per-phase buffers of the step loop.
@@ -390,8 +392,7 @@ class _PhaseScratch:
     One combined gather serves the whole phase: rows ``[0:3m)`` hold the
     three MAJ fan-in planes, rows ``[3m:3m+b)`` the BUF/FOG fan-ins, so a
     single ``np.take`` + one masked xor replaces four allocations of the
-    PR-2 loop.  The tracked variant mirrors the layout for the int32
-    wave-id planes.
+    PR-2 loop.  The int32 wave-id planes mirror the layout.
     """
 
     __slots__ = (
@@ -402,7 +403,7 @@ class _PhaseScratch:
     )
 
     def __init__(self, compiled: CompiledWaveNetlist, phase: int,
-                 n_words: int, n_lanes: int, tracked: bool) -> None:
+                 n_words: int, n_lanes: int) -> None:
         m0, m1 = int(compiled.maj_ptr[phase]), int(compiled.maj_ptr[phase + 1])
         b0, b1 = int(compiled.buf_ptr[phase]), int(compiled.buf_ptr[phase + 1])
         n_maj, n_buf = m1 - m0, b1 - b0
@@ -435,78 +436,74 @@ class _PhaseScratch:
         self.c = self.gather[2 * n_maj:3 * n_maj]
         self.bufs = self.gather[3 * n_maj:]
         self.acc = np.empty((n_maj, n_words), dtype=_WORD)
-        if tracked:
-            self.wgather = np.empty((rows, n_lanes), dtype=np.int32)
-            self.wa = self.wgather[:n_maj]
-            self.wb = self.wgather[n_maj:2 * n_maj]
-            self.wc = self.wgather[2 * n_maj:3 * n_maj]
-            self.wbufs = self.wgather[3 * n_maj:]
-            self.wacc = np.empty((n_maj, n_lanes), dtype=np.int32)
-            shape = (n_maj, n_lanes)
-            self.warming = np.empty(shape, dtype=bool)
-            self.scratch_bool1 = np.empty(shape, dtype=bool)
-            self.scratch_bool2 = np.empty(shape, dtype=bool)
-            self.ge_a = np.empty(shape, dtype=bool)
-            self.ge_b = np.empty(shape, dtype=bool)
-            self.ge_c = np.empty(shape, dtype=bool)
-            self.hit = np.empty(shape, dtype=bool)
-
-
-def _input_writer(
-    compiled: CompiledWaveNetlist,
-) -> Union[slice, np.ndarray]:
-    """(slice | index array) used to scatter freshly injected inputs."""
-    if compiled.inputs_contiguous and compiled.inputs.size:
-        lo = int(compiled.inputs[0])
-        return slice(lo, lo + compiled.inputs.size)
-    return compiled.inputs
+        self.wgather = np.empty((rows, n_lanes), dtype=np.int32)
+        self.wa = self.wgather[:n_maj]
+        self.wb = self.wgather[n_maj:2 * n_maj]
+        self.wc = self.wgather[2 * n_maj:3 * n_maj]
+        self.wbufs = self.wgather[3 * n_maj:]
+        self.wacc = np.empty((n_maj, n_lanes), dtype=np.int32)
+        shape = (n_maj, n_lanes)
+        self.warming = np.empty(shape, dtype=bool)
+        self.scratch_bool1 = np.empty(shape, dtype=bool)
+        self.scratch_bool2 = np.empty(shape, dtype=bool)
+        self.ge_a = np.empty(shape, dtype=bool)
+        self.ge_b = np.empty(shape, dtype=bool)
+        self.ge_c = np.empty(shape, dtype=bool)
+        self.hit = np.empty(shape, dtype=bool)
 
 
 # lint: hot
-def _advance(
-    state: SessionState,
-    n_steps: int,
+def run_plan(
+    compiled: CompiledWaveNetlist,
+    plan: "_LanePlan",
     inj_words: np.ndarray,
     inj_masks: np.ndarray,
     inj_active: list,
-    slot0: int,
-    ret_words: np.ndarray,
-    ret_slot0: int,
-    keep_lo: np.ndarray,
-    keep_hi: np.ndarray,
-    offset: np.ndarray,
-    strict_single: bool,
-) -> list:
-    """Advance *state* ``n_steps`` steps; returns raw events.
+    separation: int,
+    strict: bool,
+) -> tuple[np.ndarray, list]:
+    """Advance every lane of *plan* with the tracked step loop.
 
-    The loop covers absolute steps ``[state.step, state.step +
-    n_steps)``: injection slot ``s`` (absolute) fires at step ``s *
-    separation`` and reads row ``s - slot0`` of the injection arrays,
-    retire slot ``r`` snapshots into row ``r - ret_slot0`` of
-    ``ret_words``.  :func:`run_plan` drives it with zero offsets over a
-    fresh state.  ``raw_events`` rows are ``(flat_maj_index, step, lane, wa,
-    wb, wc)`` in the tracked variant (empty when elided); event
-    materialization and ordering live in :func:`run_plan`.
+    Returns ``(ret_words, events)``: the per-retire-slot output-word
+    snapshots (bit extraction happens in the caller's report merging) and
+    the kept interference records ``(stream, absolute_step, order,
+    WaveInterference)`` sorted the way the scalar loop emits them (per
+    stream, then by step, then by within-phase order).  Injection slot
+    ``s`` fires at step ``s * separation``; retire slot ``r`` snapshots
+    into ``ret_words[r]``.  The value and wave-id matrices and the
+    per-phase scratch live for this call only.
     """
-    compiled = state.compiled
-    separation = state.separation
-    elide = state.elide
     p = compiled.n_phases
     depth = compiled.depth
     n_slots = inj_words.shape[0]
-    n_ret = ret_words.shape[0]
-
-    value = state.value
-    wave = state.wave
-    phases, in_buf = state._scratch()
-    inv_masks = ~inj_masks
-    in_rows = _input_writer(compiled)
-    in_rows_col = (
-        in_rows if isinstance(in_rows, slice) else in_rows[:, None]
+    n_words, n_lanes = plan.n_words, plan.n_lanes
+    value = np.zeros((compiled.n_components, n_words), dtype=_WORD)
+    wave = np.full((compiled.n_components, n_lanes), -1, dtype=np.int32)
+    wave[0, :] = -2  # constants belong to every wave
+    phases = [_PhaseScratch(compiled, ph, n_words, n_lanes) for ph in range(p)]
+    inputs_idx = compiled.inputs
+    in_buf = np.empty((inputs_idx.size, n_words), dtype=_WORD)
+    # retire steps (step >= depth, aligned) inside the loop
+    n_ret = (
+        (plan.local_steps - 1 - depth) // separation + 1
+        if plan.local_steps > depth else 0
     )
+    ret_words = np.empty((n_ret, compiled.out_node.size, n_words), dtype=_WORD)
+    inv_masks = ~inj_masks
+    # inputs are scattered by slice assignment when their rows are one run
+    in_rows: Union[slice, np.ndarray] = inputs_idx
+    in_rows_col: Union[slice, np.ndarray] = inputs_idx[:, None]
+    if compiled.inputs_contiguous and inputs_idx.size:
+        lo = int(inputs_idx[0])
+        in_rows = in_rows_col = slice(lo, lo + inputs_idx.size)
     out_node = compiled.out_node
     out_neg = compiled.out_neg[:, None]
-    inputs_idx = compiled.inputs
+    keep_lo, keep_hi, offset = plan.keep_lo, plan.keep_hi, plan.offset
+    # In strict mode stop as soon as no lane can still discover an
+    # earlier event (absolute = local + offset, offsets are >= 0).  With
+    # several streams the caller wants the *first stream's* first event,
+    # so the loop must run to completion.
+    strict_single = bool(strict and plan.stream_waves.size == 1)
 
     raw_events: list[tuple[int, int, int, int, int, int]] = []
     earliest_event = None
@@ -516,33 +513,30 @@ def _advance(
     bor = np.bitwise_or
     bxor = np.bitwise_xor
 
-    step0 = state.step
-    for step in range(step0, step0 + n_steps):
+    for step in range(plan.local_steps):
         # 1) inject: every lane latches its slot's wave simultaneously
         if step % separation == 0:
-            slot = step // separation - slot0
-            if 0 <= slot < n_slots:
+            slot = step // separation
+            if slot < n_slots:
                 take(value, inputs_idx, axis=0, out=in_buf, mode="clip")
                 band(in_buf, inv_masks[slot], out=in_buf)
                 bor(in_buf, inj_words[slot], out=in_buf)
                 value[in_rows] = in_buf
-                if not elide:
-                    lanes = inj_active[slot]
-                    if lanes.size:
-                        wave[in_rows_col, lanes] = slot + slot0
+                lanes = inj_active[slot]
+                if lanes.size:
+                    wave[in_rows_col, lanes] = slot
         # 2) clocked components of this phase latch from their
         # neighbours; one combined gather reads the pre-step snapshot
         # (the scalar loop's deepest-first order has exactly these
-        # snapshot semantics)
+        # snapshot semantics).  The BUF rows of the wave-id gather are
+        # scattered below even when the phase has no MAJ, so both
+        # gathers run whenever the phase holds any component.
         ps = phases[step % p]
         n_maj = ps.n_maj
         if n_maj or ps.n_buf:
             take(value, ps.src, axis=0, out=ps.gather, mode="clip")
             bxor(ps.gather, ps.neg, out=ps.gather)
-            if not elide:
-                # the BUF rows of the wave-id gather are scattered below
-                # even when the phase has no MAJ — gather unconditionally
-                take(wave, ps.src, axis=0, out=ps.wgather, mode="clip")
+            take(wave, ps.src, axis=0, out=ps.wgather, mode="clip")
         if n_maj:
             a, b, c, acc = ps.a, ps.b, ps.c, ps.acc
             band(a, b, out=acc)
@@ -550,132 +544,76 @@ def _advance(
             bor(acc, a, out=acc)
             band(b, c, out=b)
             bor(acc, b, out=acc)
-            if not elide:
-                wa, wb, wc = ps.wa, ps.wb, ps.wc
-                # warming: any fan-in that has not seen a wave yet
-                m1, m2 = ps.scratch_bool1, ps.scratch_bool2
-                np.equal(wa, -1, out=m1)
-                np.equal(wb, -1, out=m2)
-                np.logical_or(m1, m2, out=m1)
-                np.equal(wc, -1, out=m2)
-                np.logical_or(m1, m2, out=ps.warming)
-                # interference: two non-negative fan-in ids differ
-                ga, gb, gc, hit = ps.ge_a, ps.ge_b, ps.ge_c, ps.hit
-                np.greater_equal(wa, 0, out=ga)
-                np.greater_equal(wb, 0, out=gb)
-                np.greater_equal(wc, 0, out=gc)
-                np.not_equal(wa, wb, out=m1)
-                np.logical_and(m1, ga, out=m1)
-                np.logical_and(m1, gb, out=hit)
-                np.not_equal(wa, wc, out=m1)
-                np.logical_and(m1, ga, out=m1)
-                np.logical_and(m1, gc, out=m1)
-                np.logical_or(hit, m1, out=hit)
-                np.not_equal(wb, wc, out=m1)
-                np.logical_and(m1, gb, out=m1)
-                np.logical_and(m1, gc, out=m1)
-                np.logical_or(hit, m1, out=hit)
-                # latched id: max id, warming dominates, all-constant = -2
-                wacc = ps.wacc
-                np.maximum(wa, wb, out=wacc)
-                np.maximum(wacc, wc, out=wacc)
-                np.less(wacc, 0, out=m1)
-                np.copyto(wacc, np.int32(-2), where=m1)
-                np.copyto(wacc, np.int32(-1), where=ps.warming)
-                if hit.any():
-                    flat_lo = ps.flat_lo
-                    # lint: alloc-ok(interference-event path: reached only when hit.any is true — never on the balanced netlists the flow produces; per-event cost is irrelevant next to materializing the events)
-                    for row, lane in zip(*np.nonzero(hit)):
-                        if not keep_lo[lane] <= step < keep_hi[lane]:
-                            continue  # another lane owns this tape step
-                        raw_events.append(
-                            (
-                                flat_lo + int(row),
-                                step,
-                                int(lane),
-                                int(wa[row, lane]),
-                                int(wb[row, lane]),
-                                int(wc[row, lane]),
-                            )
+            wa, wb, wc = ps.wa, ps.wb, ps.wc
+            # warming: any fan-in that has not seen a wave yet
+            m1, m2 = ps.scratch_bool1, ps.scratch_bool2
+            np.equal(wa, -1, out=m1)
+            np.equal(wb, -1, out=m2)
+            np.logical_or(m1, m2, out=m1)
+            np.equal(wc, -1, out=m2)
+            np.logical_or(m1, m2, out=ps.warming)
+            # interference: two non-negative fan-in ids differ
+            ga, gb, gc, hit = ps.ge_a, ps.ge_b, ps.ge_c, ps.hit
+            np.greater_equal(wa, 0, out=ga)
+            np.greater_equal(wb, 0, out=gb)
+            np.greater_equal(wc, 0, out=gc)
+            np.not_equal(wa, wb, out=m1)
+            np.logical_and(m1, ga, out=m1)
+            np.logical_and(m1, gb, out=hit)
+            np.not_equal(wa, wc, out=m1)
+            np.logical_and(m1, ga, out=m1)
+            np.logical_and(m1, gc, out=m1)
+            np.logical_or(hit, m1, out=hit)
+            np.not_equal(wb, wc, out=m1)
+            np.logical_and(m1, gb, out=m1)
+            np.logical_and(m1, gc, out=m1)
+            np.logical_or(hit, m1, out=hit)
+            # latched id: max id, warming dominates, all-constant = -2
+            wacc = ps.wacc
+            np.maximum(wa, wb, out=wacc)
+            np.maximum(wacc, wc, out=wacc)
+            np.less(wacc, 0, out=m1)
+            np.copyto(wacc, np.int32(-2), where=m1)
+            np.copyto(wacc, np.int32(-1), where=ps.warming)
+            if hit.any():
+                flat_lo = ps.flat_lo
+                # lint: alloc-ok(interference-event path: reached only when hit.any is true — never on the balanced netlists the flow produces; per-event cost is irrelevant next to materializing the events)
+                for row, lane in zip(*np.nonzero(hit)):
+                    if not keep_lo[lane] <= step < keep_hi[lane]:
+                        continue  # another lane owns this tape step
+                    raw_events.append(
+                        (
+                            flat_lo + int(row),
+                            step,
+                            int(lane),
+                            int(wa[row, lane]),
+                            int(wb[row, lane]),
+                            int(wc[row, lane]),
                         )
-                        absolute = step + int(offset[lane])
-                        if earliest_event is None or absolute < earliest_event:
-                            earliest_event = absolute
-        if n_maj:
-            value[ps.maj_lo:ps.maj_hi] = ps.acc
-            if not elide:
-                wave[ps.maj_lo:ps.maj_hi] = ps.wacc
+                    )
+                    absolute = step + int(offset[lane])
+                    if earliest_event is None or absolute < earliest_event:
+                        earliest_event = absolute
+            value[ps.maj_lo:ps.maj_hi] = acc
+            wave[ps.maj_lo:ps.maj_hi] = wacc
         if ps.n_buf:
             value[ps.buf_lo:ps.buf_hi] = ps.bufs
-            if not elide:
-                wave[ps.buf_lo:ps.buf_hi] = ps.wbufs
+            wave[ps.buf_lo:ps.buf_hi] = ps.wbufs
         # 3) retire: snapshot the output words; bits are extracted
         # vectorized after the loop
         if step >= depth and (step - depth) % separation == 0:
-            ret_row = (step - depth) // separation - ret_slot0
-            if 0 <= ret_row < n_ret:
+            ret_row = (step - depth) // separation
+            if ret_row < n_ret:
                 ret = ret_words[ret_row]
                 take(value, out_node, axis=0, out=ret, mode="clip")
                 bxor(ret, out_neg, out=ret)
-        # In strict mode stop as soon as no lane can still discover an
-        # earlier event (absolute = local + offset, offsets are >= 0).
-        # With several streams the caller wants the *first stream's*
-        # first event, so the loop must run to completion.
         if (
             strict_single
             and earliest_event is not None
             and step > earliest_event
         ):
-            state.step = step + 1
-            return raw_events
-
-    state.step = step0 + n_steps
-    return raw_events
-
-
-# ----------------------------------------------------------------------
-# one-shot run + event materialization
-# ----------------------------------------------------------------------
-def run_plan(
-    compiled: CompiledWaveNetlist,
-    plan: "_LanePlan",
-    inj_words: np.ndarray,
-    inj_masks: np.ndarray,
-    inj_active: list,
-    separation: int,
-    strict: bool,
-    elide: Optional[bool] = None,
-) -> tuple[np.ndarray, list]:
-    """Advance every lane of *plan* with the tracked or elided kernels.
-
-    Returns ``(ret_words, events)``: the per-retire-slot output-word
-    snapshots (bit extraction happens in the caller's report merging) and
-    the kept interference records ``(stream, absolute_step, order,
-    WaveInterference)`` sorted the way the scalar loop emits them (per
-    stream, then by step, then by within-phase order).  *elide* of
-    ``None`` applies :func:`can_elide_tracking`; an explicit ``True`` is
-    rejected when the static proof does not hold.  The run is a fresh
-    :class:`SessionState` advanced across the plan's whole timeline with
-    zero offsets, then discarded.
-    """
-    elide = resolve_tracking(
-        compiled, separation, None if elide is None else not elide
-    )
-    state = SessionState(
-        compiled, separation, elide=elide,
-        n_lanes=plan.n_lanes, n_words=plan.n_words,
-    )
-    n_ret = _retire_slot_count(plan.local_steps, compiled.depth, separation)
-    ret_words = np.empty(
-        (n_ret, compiled.out_node.size, plan.n_words), dtype=_WORD
-    )
-    strict_single = bool(strict and plan.stream_waves.size == 1)
-    raw = _advance(
-        state, plan.local_steps, inj_words, inj_masks, inj_active, 0,
-        ret_words, 0, plan.keep_lo, plan.keep_hi, plan.offset,
-        strict_single,
-    )
-    return ret_words, _materialize_events(compiled, plan, raw)
+            break
+    return ret_words, _materialize_events(compiled, plan, raw_events)
 
 
 def _materialize_events(

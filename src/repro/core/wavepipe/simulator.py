@@ -28,26 +28,21 @@ interference events, in the same order):
     step, so it tops out around 10^3 components.
 
 ``engine="packed"``
-    The bit-packed batched engine: :mod:`repro.core.wavepipe.batch` plans
-    the run (the wave stream is split across lanes packed
-    one-bit-per-lane into a ``(n_components, n_words)`` matrix of
-    ``uint64`` words — the layout of :mod:`repro.core.simulate`, extended
-    along a word axis) and :mod:`repro.core.wavepipe.kernels` executes
-    the per-clock-step hot loop with zero-allocation in-place numpy
-    kernels.  They come in two variants: *tracked*, which carries a wave
-    id per component and lane as the oracle does, and *elided*, which
-    drops it whenever the netlist's balance statically proves
-    interference impossible.  Per-phase component/fan-in tables are
-    compiled once per netlist revision; the lane count is unbounded — the
-    planner fills as many 64-lane words as the stream warrants, using
-    one cost constant per variant — so 10^4–10^5-wave streams run in one
-    pass.  Overlap is planned only where interference is possible: lanes
-    re-simulate a short warm-up/forward window on unbalanced netlists
-    alone, so that coupled adjacent waves — interference included — stay
-    bit-identical to the reference engine.
-    This is the engine that reaches the paper's 10^5-component netlists
-    (e.g. DIFFEQ1's 306 937 components) and the roadmap's 10^5-wave
-    streams.
+    The bit-packed batched engine, 64 waves per ``uint64`` word, tables
+    compiled once per netlist revision.  A *wave-ready* run (balanced
+    netlist, injections at least ``p`` steps apart: the paper's Section
+    IV condition, under which no wave meets another) takes the
+    *functional pass* of :mod:`repro.core.wavepipe.kernels`: each wave's
+    outputs are the netlist's combinational function of its own inputs,
+    evaluated one MAJ level per array operation.  Every other run, and
+    any run with ``track=True``, steps the *tracked* loop: wave lanes
+    packed into an ``(n_components, n_words)`` state matrix plus a wave
+    id per component and lane, as the oracle keeps, one clock phase per
+    step, with warm-up/forward lane overlap only on unbalanced netlists
+    so that coupled adjacent waves — interference included — stay
+    bit-identical to the reference engine.  This is the engine that
+    reaches the paper's 10^5-component netlists (e.g. DIFFEQ1's 306 937
+    components) and the roadmap's 10^5-wave streams.
 
 :func:`simulate_streams` batches many *independent* wave streams (the
 serving scenario: one request = one stream) through the same netlist in a
@@ -258,6 +253,7 @@ def simulate_waves(
     pipelined: bool = True,
     strict: bool = False,
     engine: str = "python",
+    track: Optional[bool] = None,
 ) -> WaveSimulationReport:
     """Drive *vectors* through *netlist* under a regeneration clock.
 
@@ -276,6 +272,10 @@ def simulate_waves(
         ``"python"`` for the scalar reference loop, ``"packed"`` for the
         bit-packed batched numpy engine (identical reports, see the module
         docstring).
+    track:
+        Packed engine only: ``True`` steps the tracked loop even on a
+        wave-ready run, ``None`` lets such a run take the functional pass
+        (the scalar engine always steps).
 
     Returns
     -------
@@ -288,7 +288,7 @@ def simulate_waves(
 
         return simulate_waves_packed(
             netlist, vectors, clocking=clocking,
-            pipelined=pipelined, strict=strict,
+            pipelined=pipelined, strict=strict, track=track,
         )
     return _simulate_waves_python(netlist, vectors, clocking, pipelined, strict)
 

@@ -44,8 +44,6 @@ from ..mig import Mig
 from ..simulate import exhaustive_words, simulate_words
 from .components import ARITY, Kind, WaveNetlist
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def _skew(netlist: WaveNetlist) -> tuple[np.ndarray, np.ndarray]:
     """``(components whose wave-carrying fan-ins sit at different levels,
@@ -224,8 +222,13 @@ def simulate_equivalent(netlist: WaveNetlist, reference: Mig) -> bool:
     inputs, else seeded random words, as many as that function draws for
     the reference.  The reference runs through the golden
     :func:`~repro.core.simulate.simulate_words`; the netlist runs through
-    :func:`simulate_netlist_words`.
+    the packed engine's functional evaluator,
+    :class:`~repro.core.wavepipe.kernels.FunctionalNetlist`, which
+    collapses BUF/FOG chains to root literals and evaluates the MAJ rows
+    one level at a time.
     """
+    from .kernels import FunctionalNetlist  # kernels imports this module
+
     _check_interface(netlist, reference)
     n_inputs = netlist.n_inputs
     if n_inputs <= EXHAUSTIVE_LIMIT:
@@ -237,7 +240,7 @@ def simulate_equivalent(netlist: WaveNetlist, reference: Mig) -> bool:
         words = random_words(
             n_inputs, random_word_count(max(rows, reference.n_nodes))
         )
-    got = simulate_netlist_words(netlist, words)
+    got = FunctionalNetlist.build(netlist).evaluate(words)
     want = simulate_words(reference, words)
     if n_inputs < 6:  # one word, whose upper bits repeat the 2**n patterns
         mask = np.uint64((1 << (1 << n_inputs)) - 1)
@@ -257,48 +260,6 @@ def _root_literals(kinds: np.ndarray, fanins: np.ndarray) -> np.ndarray:
         if np.array_equal(hop, root):
             return root
         root = hop
-
-
-def simulate_netlist_words(
-    netlist: WaveNetlist, pi_words: np.ndarray
-) -> np.ndarray:
-    """Functional bit-parallel simulation of a wave netlist.
-
-    BUF and FOG are identities, so every component first collapses to its
-    root literal (a constant, input or MAJ, complement included) by
-    pointer doubling along the BUF/FOG chains.  Only the constant, input
-    and MAJ rows are then simulated, one level at a time: a MAJ's roots
-    sit at lower levels than the MAJ itself.  Same layout as
-    :func:`~repro.core.simulate.simulate_words`: returns
-    ``(n_outputs, words)``.
-    """
-    levels = netlist.levels()  # rejects cycles
-    kinds, fanins, outputs = netlist.arrays()
-    n = len(kinds)
-    root = _root_literals(kinds, fanins)
-
-    majs = np.flatnonzero(kinds == Kind.MAJ)
-    majs = majs[np.argsort(levels[majs], kind="stable")]
-    row = np.zeros(n, dtype=np.int64)
-    sources = np.asarray(netlist.inputs, dtype=np.int64)
-    row[sources] = np.arange(1, len(sources) + 1)
-    row[majs] = np.arange(len(sources) + 1, len(sources) + 1 + len(majs))
-
-    n_words = pi_words.shape[1]
-    values = np.zeros((1 + len(sources) + len(majs), n_words), dtype=np.uint64)
-    values[1:1 + len(sources)] = pi_words
-    lits = root[fanins[majs] >> 1] ^ (fanins[majs] & 1)
-    src = row[lits >> 1]
-    neg = np.where(lits & 1, _ALL_ONES, np.uint64(0))[:, :, None]
-    bounds = np.flatnonzero(np.diff(levels[majs])) + 1
-    first = 1 + len(sources)
-    for block in np.split(np.arange(len(majs)), bounds):
-        if not block.size:
-            continue
-        a, b, c = (values[src[block, j]] ^ neg[block, j] for j in range(3))
-        values[first + block] = (a & b) | (a & c) | (b & c)
-    out = root[outputs >> 1] ^ (outputs & 1)
-    return values[row[out >> 1]] ^ np.where(out & 1, _ALL_ONES, np.uint64(0))[:, None]
 
 
 def wave_ready(netlist: WaveNetlist, fanout_limit: int | None = None) -> bool:

@@ -5,8 +5,10 @@ fan-out restricted) netlist sustains one wave per clock cycle — ``1/p``
 waves per phase step under the ``p``-phase regeneration clock — while the
 non-pipelined baseline retires one wave per ``ceil(depth/p)`` cycles.
 This artifact measures both on the phase-accurate simulator (through
-:meth:`SuiteRunner.simulate`, so the packed engine and the memo cache are
-exercised) and compares against the analytic rates.
+:meth:`SuiteRunner.simulate` with ``track=True``, so the packed engine
+steps every clock phase, as on an unbalanced netlist, instead of taking
+the functional pass its wave-ready netlists allow) and compares against
+the analytic rates.
 
 Two measured columns per mode tell the measurement story:
 
@@ -118,10 +120,12 @@ def run(
     rows = []
     for name in runner.names:
         pipelined = runner.simulate(
-            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES, pipelined=True
+            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES,
+            pipelined=True, track=True,
         )
         sequential = runner.simulate(
-            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES, pipelined=False
+            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES,
+            pipelined=False, track=True,
         )
         depth = pipelined.latency_steps
         cycles_per_wave = -(-depth // N_PHASES)  # ceil: first free cycle

@@ -214,6 +214,7 @@ class SuiteRunner:
         n_phases: int = 3,
         pipelined: bool = True,
         seed: int = 0,
+        track: Optional[bool] = None,
     ) -> WaveSimulationReport:
         """Phase-accurate simulation of one transformed benchmark (memoized).
 
@@ -223,12 +224,17 @@ class SuiteRunner:
         dynamic validation stays cheap even on the full suite.  Both
         engines return bit-identical reports, so the memo key deliberately
         ignores *engine* — asking for the other engine recalls the cached
-        report instead of re-simulating.  The memo holds at most
+        report instead of re-simulating.  *track* goes to the packed
+        engine (``True`` steps the clock even on a wave-ready run) and is
+        part of the key, so a stepped measurement is never served from a
+        functional run.  The memo holds at most
         :data:`SIMULATION_CACHE_LIMIT` reports (least-recently-used
         eviction), so long-lived runners stay bounded.
         """
         self._check_engine(engine)
-        key = ("waves", name, config, n_waves, n_phases, pipelined, seed)
+        key = (
+            "waves", name, config, n_waves, n_phases, pipelined, seed, track
+        )
         if key not in self._simulations:
             netlist = self.run(name, config).netlist
             vectors = random_vectors(netlist.n_inputs, n_waves, seed=seed)
@@ -238,6 +244,7 @@ class SuiteRunner:
                 clocking=ClockingScheme(n_phases),
                 pipelined=pipelined,
                 engine=engine,
+                track=track,
             )
         return self._simulations[key]
 

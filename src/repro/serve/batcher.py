@@ -3,12 +3,12 @@
 The batcher is pure batching *policy*.  It decides which group a shard
 serves next (round-robin via the queue), how many requests one batch
 carries (``max_batch_requests``), and how many total waves
-(``max_batch_waves``) — and it asks the packed engine's own lane planner
+(``max_batch_waves``) — and it asks the packed engine
 (:func:`~repro.core.wavepipe.batch.plan_stream_batch`) how the batch will
 pack, so sizing and execution share one source of truth.  Locking, the
 linger wait, and running the batch belong to the server.
 
-Why these defaults: every stream in a packed pass occupies at least one
+Why these defaults: every stream in a tracked pass occupies at least one
 lane, so a batch of ``n`` requests needs at least ``ceil(n / 64)`` state
 words.  :data:`DEFAULT_MAX_BATCH_REQUESTS` = 256 keeps a worst-case
 one-lane-per-stream batch at 4 words, comfortably inside the planner's
@@ -197,10 +197,12 @@ class Batcher:
         )
 
     def plan(self, batch: Batch) -> dict:
-        """Lane plan of *batch* as the packed engine will run it (the
-        metrics record its words, so operators see how traffic packs).
-        The engine memoizes plans by batch shape: with thread shards the
-        pass that runs the batch reuses this very plan."""
+        """How the packed engine will run *batch* (the metrics record its
+        words, so operators see how traffic packs): the functional
+        pass's ``ceil(waves / 64)`` words on a wave-ready netlist, else
+        the step loop's lane plan, which the engine memoizes by batch
+        shape, so with thread shards the pass that runs the batch
+        reuses this very plan."""
         return plan_stream_batch(
             batch.netlist,
             [request.n_waves for request in batch.requests],

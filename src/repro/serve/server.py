@@ -217,9 +217,9 @@ class SimulationServer:
     clocking / pipelined:
         Server-wide simulation defaults, both overridable per request in
         :meth:`submit` (the group key keeps incompatible requests apart).
-        Every batch and session runs the packed engine's kernels with
-        wave-id tracking elided exactly when the netlist's balance
-        proves interference impossible.
+        Every batch and session takes the packed engine's functional
+        pass exactly when the netlist's balance proves interference
+        impossible, and its tracked step loop otherwise.
     warm_netlists:
         Netlists to pre-compile before the first request: in thread
         mode their plans are built here, at construction; with process

@@ -5,15 +5,17 @@ model; the packed engine in ``batch.py`` must reproduce it exactly — same
 outputs, same interference events (contents *and* order), same counters —
 on balanced and deliberately unbalanced netlists, across phase counts and
 injection modes, across the 64-lane word boundaries of the multi-word
-layout (explicit ``lanes=`` forcings pin the word count), and for batched
-independent streams (``simulate_streams``).
+layout (explicit ``lanes=`` forcings pin the word count of the tracked
+step loop), and for batched independent streams (``simulate_streams``).
+Wave-ready runs left to the default take the functional pass, so every
+default comparison below checks it too.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.wavepipe import (
@@ -35,7 +37,6 @@ from repro.core.wavepipe.batch import (
     _plan_lanes,
     _unpack_lanes,
 )
-from repro.core.wavepipe.kernels import planner_step_overhead
 from repro.errors import SimulationError
 from repro.suite.table import build_benchmark
 
@@ -57,9 +58,10 @@ def _assert_identical(netlist, vectors, n_phases=3, pipelined=True,
             engine="packed",
         )
     else:
+        # a lane pin names a plan of the tracked step loop
         packed = simulate_waves_packed(
             netlist, vectors, clocking=clocking, pipelined=pipelined,
-            lanes=lanes,
+            lanes=lanes, track=True,
         )
     assert packed.outputs == scalar.outputs
     assert packed.interference == scalar.interference
@@ -206,15 +208,19 @@ class TestStreams:
         stream_lengths(max_streams=6, max_waves=90),
         st.integers(2, 4),
         st.booleans(),
-        st.sampled_from([None, True]),
+        st.booleans(),
         st.integers(0, 2**16),
+    )
+    @example(
+        wave_pipeline(build_adder_mig(2), fanout_limit=3).netlist,
+        [0, 1, 63, 64, 65, 129], 3, True, True, 0,
     )
     @settings(max_examples=30, deadline=None)
     def test_overlap_free_batches_match_the_oracle(
-        self, netlist, lengths, n_phases, pipelined, track, seed
+        self, netlist, lengths, n_phases, pipelined, strict, seed
     ):
-        # balanced netlists plan lanes with no warm-up and no forward
-        # slots, under either kernel variant
+        # wave-ready batches: the functional pass and the overlap-free
+        # tracked plans both equal the scalar oracle field for field
         clocking = ClockingScheme(n_phases)
         streams = [
             _vectors(netlist.n_inputs, length, seed=seed + index)
@@ -222,13 +228,14 @@ class TestStreams:
         ]
         oracle = simulate_streams(
             netlist, streams, clocking=clocking, pipelined=pipelined,
-            engine="python",
+            strict=strict, engine="python",
         )
-        packed = simulate_streams_packed(
-            netlist, streams, clocking=clocking, pipelined=pipelined,
-            track=track,
-        )
-        assert packed == oracle
+        for track in (None, True):
+            packed = simulate_streams_packed(
+                netlist, streams, clocking=clocking, pipelined=pipelined,
+                strict=strict, track=track,
+            )
+            assert packed == oracle
 
     def test_streams_span_word_boundaries(self):
         # enough streams that the lane table crosses several words
@@ -361,12 +368,14 @@ class TestLaneCodec:
         raw = WaveNetlist.from_mig(build_random_mig(seed=11, n_gates=40))
         for netlist, balanced in ((ready, True), (raw, False)):
             lengths = _unequal_lengths(n_lanes, balanced)
-            assert plan_stream_batch(netlist, lengths)["lanes"] == n_lanes
+            assert plan_stream_batch(
+                netlist, lengths, track=True
+            )["lanes"] == n_lanes
             streams = [
                 _vectors(netlist.n_inputs, length, seed=index)
                 for index, length in enumerate(lengths)
             ]
-            assert simulate_streams_packed(netlist, streams) == (
+            assert simulate_streams_packed(netlist, streams, track=True) == (
                 simulate_streams(netlist, streams, engine="python")
             )
 
@@ -384,7 +393,6 @@ class TestLaneCodec:
         plan = _plan_lanes(
             (len(bits),), compiled.depth, compiled.n_phases, 3,
             compiled.balanced, compiled.n_components,
-            step_overhead=planner_step_overhead(True),
         )
         gathered = (
             int(plan.n_inj.max()) * plan.n_words * 64 * netlist.n_inputs

@@ -88,14 +88,20 @@ class TestSimulate:
         assert "golden    : MISMATCH" in out
 
     def test_kernel_line_reports_tracking(self, capsys):
-        # the flow's balanced netlist elides wave-id tracking; the raw
-        # (unbalanced) netlist must run the tracked kernels
-        assert main(["simulate", "circuit:adder:3", "--waves", "8"]) == 0
-        assert "kernel    : tracking=elided," in capsys.readouterr().out
-        assert main(
-            ["simulate", "circuit:adder:3", "--raw", "--waves", "8"]
-        ) == 0
-        assert "kernel    : tracking=tracked," in capsys.readouterr().out
+        # the flow's balanced netlist takes the functional pass: its MAJ
+        # levels and ceil(waves / 64) words, with no lane plan; the raw
+        # (unbalanced) netlist must run the tracked step loop's plan
+        cases = [
+            (["--waves", "8"], "functional, 4 MAJ levels / 1 words"),
+            (["--waves", "40", "--streams", "3"],
+             "functional, 4 MAJ levels / 2 words"),
+            (["--raw", "--waves", "8"],
+             "tracked, plan=8 lanes / 1 words / 20 steps"),
+        ]
+        for extra, kernel in cases:
+            assert main(["simulate", "circuit:adder:3", *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"kernel    : {kernel}" in lines
 
     def test_non_pipelined_and_phases(self, capsys):
         assert main(

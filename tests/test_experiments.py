@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.wavepipe import WaveNetlist, wave_pipeline
 from repro.core.wavepipe import flow as wavepipe_flow
+from repro.core.wavepipe.kernels import FunctionalNetlist
 from repro.errors import ReproError
 from repro.experiments import (
     SuiteRunner,
@@ -19,7 +20,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.suite.table import SUITE, BenchmarkSpec
+from repro.suite.table import QUICK_SUITE, SUITE, BenchmarkSpec
 
 #: five small benchmarks keep the experiment tests quick
 TINY = tuple(spec for spec in SUITE if spec.size <= 700)
@@ -311,7 +312,45 @@ class TestTable2AndFig9:
         assert result.to_csv(tmp_path / "fig9.csv").exists()
 
 
+#: The quick suite's Fig. 9 throughput rows (96 waves, 3 phases), as
+#: the phase-accurate step loop measured them before wave-ready runs
+#: took the functional pass; Fig. 9 must keep stepping and keep them.
+QUICK_FIG9_ROWS = [
+    ("sasc", 11, 0.3333, 0.3333, 0.3232, 0.0833, 0.0833, 4.0),
+    ("hamming", 89, 0.3333, 0.3333, 0.256, 0.0111, 0.0111, 30.0),
+    ("ctrl", 15, 0.3333, 0.3333, 0.3189, 0.0667, 0.0667, 5.0),
+    ("dec", 35, 0.3333, 0.3333, 0.2991, 0.0278, 0.0278, 12.0),
+    ("i2c", 31, 0.3333, 0.3333, 0.3028, 0.0303, 0.0303, 11.0),
+    ("int2float", 28, 0.3333, 0.3333, 0.3057, 0.0333, 0.0333, 10.0),
+    ("bar", 53, 0.3333, 0.3333, 0.2832, 0.0185, 0.0185, 18.0),
+    ("adder32", 92, 0.3333, 0.3333, 0.254, 0.0108, 0.0108, 31.0),
+    ("adder64", 181, 0.3333, 0.3333, 0.2056, 0.0055, 0.0055, 61.0),
+    ("adder128", 326, 0.3333, 0.3333, 0.1569, 0.0031, 0.0031, 109.0),
+    ("cavlc", 29, 0.3333, 0.3333, 0.3048, 0.0333, 0.0333, 10.0),
+    ("priority", 47, 0.3333, 0.3333, 0.2883, 0.0208, 0.0208, 16.0),
+    ("router", 30, 0.3333, 0.3333, 0.3038, 0.0333, 0.0333, 10.0),
+    ("max", 88, 0.3333, 0.3333, 0.2567, 0.0111, 0.0111, 30.0),
+    ("sqrt32", 213, 0.3333, 0.3333, 0.1924, 0.0047, 0.0047, 71.0),
+    ("mac16", 66, 0.3333, 0.3333, 0.2727, 0.0152, 0.0152, 22.0),
+    ("crc32", 38, 0.3333, 0.3333, 0.2963, 0.0256, 0.0256, 13.0),
+    ("spi", 51, 0.3333, 0.3333, 0.2849, 0.0196, 0.0196, 17.0),
+    ("ss_pcm", 18, 0.3333, 0.3333, 0.3158, 0.0556, 0.0556, 6.0),
+    ("usb_phy", 24, 0.3333, 0.3333, 0.3097, 0.0417, 0.0417, 8.0),
+    ("simple_spi", 22, 0.3333, 0.3333, 0.3117, 0.0417, 0.0417, 8.0),
+]
+
+
 class TestFig9Throughput:
+    def test_quick_suite_rows_are_pinned(self, monkeypatch):
+        # measured on the phase-accurate step loop: the functional pass,
+        # which computes the step counts, is never reached
+        def refuse(self, bits):
+            raise AssertionError("Fig. 9 took the functional pass")
+
+        monkeypatch.setattr(FunctionalNetlist, "run", refuse)
+        result = fig9_throughput.run(SuiteRunner(QUICK_SUITE))
+        assert result.rows() == QUICK_FIG9_ROWS
+
     def test_steady_state_matches_analytic(self, runner):
         result = fig9_throughput.run(runner, n_waves=24)
         assert len(result.per_benchmark) == len(TINY)

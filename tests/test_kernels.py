@@ -1,22 +1,26 @@
-"""Kernel-layer tests: tracking elision and planner calibration.
+"""Kernel-layer tests: the functional pass, the step loop, the planner.
 
 ``tests/test_batch_engine.py`` pins the packed engine's default path to
-the scalar oracle; this module covers the two kernel variants of the
-step loop (`repro.core.wavepipe.kernels`):
+the scalar oracle; this module covers the two kernels of
+`repro.core.wavepipe.kernels`:
 
-* both tracking variants (tracked / elided) produce reports
-  bit-identical to the scalar oracle, under planner defaults and
-  explicit ``lanes=`` overrides;
-* the elided fast path is *never* taken on a netlist where the scalar
-  oracle reports interference (the static safety proof), and demanding
-  it there raises;
+* the functional pass and the tracked step loop both produce reports
+  bit-identical to the scalar oracle; explicit ``lanes=`` overrides pin
+  step-loop plans and are refused on a run that takes the functional
+  pass;
+* the functional pass is *never* taken on a netlist where the scalar
+  oracle reports interference (the static safety proof), nor under
+  ``track=True``, and demanding it there raises; it plans no lanes;
 * strict-mode error messages are unchanged;
-* the lane planner's cost model is monotone, respects the 16-word cap,
-  and shifts with the per-variant calibration constants.
+* the lane planner's cost model is monotone and respects the 16-word
+  cap.
 """
 
+import sys
+import threading
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from repro.core.wavepipe import (
     can_elide_tracking,
     compile_netlist,
     describe_packed_run,
+    open_packed_session,
     plan_stream_batch,
     random_vectors,
     simulate_streams,
@@ -42,10 +47,8 @@ from repro.core.wavepipe.batch import (
     _overlap_slots,
     _plan_lanes,
 )
-from repro.core.wavepipe.kernels import (
-    PLANNER_STEP_OVERHEAD,
-    planner_step_overhead,
-)
+from repro.core.wavepipe.kernels import FunctionalNetlist
+from repro.suite.table import build_benchmark
 from repro.core.wavepipe.simulator import wave_separation
 from repro.errors import SimulationError
 
@@ -84,7 +87,8 @@ def _buf_only_phase_netlist() -> WaveNetlist:
 
 
 class TestTrackingVariants:
-    """The tracked and the elided kernels both equal the oracle."""
+    """The functional pass and the tracked step loop both equal the
+    oracle."""
 
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("n_waves", [1, 40, 70])
@@ -111,17 +115,18 @@ class TestTrackingVariants:
     def test_lanes_override_identity(
         self, balanced_netlist, unbalanced_netlist, track, lanes
     ):
-        # lanes= report-identity across word boundaries, tracked and
-        # elided (elided skipped where the proof cannot hold)
+        # lanes= pins a step-loop plan: report identity across word
+        # boundaries wherever the step loop runs; a balanced run left to
+        # take the functional pass (track=None) has no plan to pin
         for netlist in (balanced_netlist, unbalanced_netlist):
             vectors = _vectors(netlist.n_inputs, 70, seed=lanes)
+            if netlist is balanced_netlist and track is None:
+                with pytest.raises(SimulationError, match="functional"):
+                    simulate_waves_packed(netlist, vectors, lanes=lanes)
+                continue
             scalar = simulate_waves(netlist, vectors, engine="python")
-            if netlist is unbalanced_netlist and track is None:
-                track_arg = True  # auto would pick tracked anyway
-            else:
-                track_arg = track
             packed = simulate_waves_packed(
-                netlist, vectors, track=track_arg, lanes=lanes
+                netlist, vectors, track=track, lanes=lanes
             )
             assert packed == scalar
 
@@ -166,13 +171,13 @@ class TestTrackingVariants:
 
 
 class TestKernelMatrixOnRandomNetlists:
-    """The kernel variants on *random* netlists.
+    """The kernels on *random* netlists.
 
     :class:`TestTrackingVariants` sweeps hand-picked circuits; this class
-    sweeps both tracking variants x {balanced, unbalanced} x {1, 3}
-    state words against the scalar oracle on randomly generated
-    netlists, so word-boundary behaviour is pinned on structures nobody
-    curated.
+    sweeps {balanced, unbalanced} x {1, 3} step-loop state words, plus
+    the functional pass on the balanced ones, against the scalar oracle
+    on randomly generated netlists, so word-boundary behaviour is pinned
+    on structures nobody curated.
     """
 
     N_WAVES = 150
@@ -207,36 +212,71 @@ class TestKernelMatrixOnRandomNetlists:
         netlist, vectors, scalar = self._case(balanced, seed)
         lanes = self.WORDS_TO_LANES[words]
         assert describe_packed_run(
-            netlist, self.N_WAVES, lanes=lanes
+            netlist, self.N_WAVES, lanes=lanes, track=True
         )["words"] == words
-        # balanced netlists run the elided (auto) AND tracked variants;
-        # unbalanced ones only track (elision is statically unsound
-        # there, which TestElisionSafety pins separately)
-        for track in ([None, True] if balanced else [None]):
-            packed = simulate_waves_packed(
-                netlist, vectors, track=track, lanes=lanes
-            )
-            assert packed == scalar
+        # every netlist runs the pinned step loop; balanced ones also
+        # take the functional pass (auto), which unbalanced ones never
+        # may (TestElisionSafety pins that separately)
+        packed = simulate_waves_packed(
+            netlist, vectors, track=True, lanes=lanes
+        )
+        assert packed == scalar
+        assert simulate_waves_packed(netlist, vectors) == scalar
         if not balanced and seed == 23:
             assert not scalar.coherent  # the sweep includes real events
 
 
 class TestElisionSafety:
-    """The elided fast path engages exactly when interference cannot."""
+    """The functional pass engages exactly when interference cannot."""
 
     def test_balanced_netlist_elides(self, balanced_netlist):
         compiled = compile_netlist(balanced_netlist)
         assert compiled.balanced
         assert can_elide_tracking(compiled, compiled.n_phases)
         info = describe_packed_run(balanced_netlist, 16)
-        assert info["elided_tracking"]
+        assert info["functional"]
 
     def test_unbalanced_netlist_tracks(self, unbalanced_netlist):
         compiled = compile_netlist(unbalanced_netlist)
         assert not compiled.balanced
         assert not can_elide_tracking(compiled, compiled.n_phases)
         info = describe_packed_run(unbalanced_netlist, 16)
-        assert not info["elided_tracking"]
+        assert not info["functional"]
+
+    def test_only_wave_ready_untracked_runs_take_the_functional_pass(
+        self, balanced_netlist, unbalanced_netlist, monkeypatch
+    ):
+        # an unbalanced netlist or track=True never reaches the
+        # functional pass, one-shot, batched or in a session ...
+        calls = []
+        run = FunctionalNetlist.run
+        monkeypatch.setattr(
+            FunctionalNetlist, "run",
+            lambda self, bits: calls.append(len(bits)) or run(self, bits),
+        )
+        for netlist, track in (
+            (unbalanced_netlist, None), (balanced_netlist, True)
+        ):
+            vectors = _vectors(netlist.n_inputs, 20, seed=4)
+            assert simulate_waves_packed(
+                netlist, vectors, track=track
+            ) == simulate_waves(netlist, vectors, engine="python")
+            simulate_streams_packed(netlist, [vectors, vectors], track=track)
+        with open_packed_session(balanced_netlist, track=True) as session:
+            session.feed(vectors).report
+        assert calls == []
+        # ... and a wave-ready run takes it without planning lanes
+        before = _plan_lanes.cache_info()
+        simulate_waves_packed(balanced_netlist, vectors)
+        simulate_streams_packed(balanced_netlist, [vectors] * 3)
+        with open_packed_session(balanced_netlist) as session:
+            session.feed(vectors)
+            session.feed(vectors)
+        plan_stream_batch(balanced_netlist, [20] * 7)
+        describe_packed_run(balanced_netlist, 300)
+        assert calls == [20, 60, 40]
+        after = _plan_lanes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_sub_minimal_separation_refused(self, balanced_netlist):
         # separations below the phase count never come out of the public
@@ -300,64 +340,60 @@ class TestElisionSafety:
 
 
 class TestPlanner:
-    """Cost-model shape: monotone, word-capped, variant-calibrated."""
+    """Cost-model shape: monotone and word-capped."""
 
     @staticmethod
-    def _lanes(n_waves, step_overhead, n_components=664, depth=15,
-               n_phases=3):
+    def _lanes(n_waves, n_components=664, depth=15, n_phases=3):
         separation = n_phases
         warm, _ = _overlap_slots(depth, n_phases, separation, True)
         return _default_lane_count(
-            n_waves, warm, separation, depth, n_components, step_overhead
+            n_waves, warm, separation, depth, n_components
         )
 
     def test_monotone_in_wave_count(self):
-        for overhead in sorted(set(PLANNER_STEP_OVERHEAD.values())):
-            counts = [
-                self._lanes(n, overhead)
-                for n in (1, 64, 65, 128, 500, 2000, 10_000, 200_000)
-            ]
-            assert counts == sorted(counts)
-            assert counts[0] == 1 and counts[1] == 64  # 1 lane per wave
+        counts = [
+            self._lanes(n)
+            for n in (1, 64, 65, 128, 500, 2000, 10_000, 200_000)
+        ]
+        assert counts == sorted(counts)
+        assert counts[0] == 1 and counts[1] == 64  # 1 lane per wave
 
     def test_word_cap(self):
-        for overhead in PLANNER_STEP_OVERHEAD.values():
-            lanes = self._lanes(10**7, overhead)
-            assert lanes <= MAX_PLANNED_WORDS * LANES_PER_WORD
-            assert lanes % LANES_PER_WORD == 0  # whole words only
-
-    def test_cheaper_lanes_plan_wider(self):
-        # the elided kernels move less data per lane, so their larger
-        # calibration constant must never shrink the plan
-        tracked = self._lanes(4096, planner_step_overhead(False))
-        elided = self._lanes(4096, planner_step_overhead(True))
-        assert elided >= tracked
-
-    def test_constants_cover_both_tracking_variants(self):
-        assert set(PLANNER_STEP_OVERHEAD) == {False, True}
-        assert all(value > 0 for value in PLANNER_STEP_OVERHEAD.values())
+        lanes = self._lanes(10**7)
+        assert lanes <= MAX_PLANNED_WORDS * LANES_PER_WORD
+        assert lanes % LANES_PER_WORD == 0  # whole words only
 
     def test_describe_packed_run_reflects_overrides(self, balanced_netlist):
-        info = describe_packed_run(balanced_netlist, 300, lanes=130)
+        info = describe_packed_run(
+            balanced_netlist, 300, lanes=130, track=True
+        )
         assert info["lanes"] == 130
         assert info["words"] == 3
-        auto = describe_packed_run(balanced_netlist, 300)
+        auto = describe_packed_run(balanced_netlist, 300, track=True)
         assert auto["lanes"] % LANES_PER_WORD == 0 or auto["lanes"] == 300
+        # the functional pass: MAJ levels and ceil(waves / 64) words
+        levels = len(compile_netlist(balanced_netlist).functional.levels)
+        assert describe_packed_run(balanced_netlist, 300) == {
+            "functional": True, "balanced": True, "levels": levels,
+            "words": 5,
+        }
+        assert plan_stream_batch(balanced_netlist, [40, 0, 25])[
+            "words"
+        ] == 2
 
     @given(
         netlists(wave_ready=True),
         stream_lengths(max_streams=6, max_waves=300),
         st.integers(2, 4),
         st.booleans(),
-        st.sampled_from([None, True]),
         st.none() | st.integers(1, 300),
     )
     @settings(max_examples=40, deadline=None)
     def test_balanced_plans_are_overlap_free(
-        self, netlist, lengths, n_phases, pipelined, track, lanes
+        self, netlist, lengths, n_phases, pipelined, lanes
     ):
-        # no warm-up, no forward slots, and a lane stops when its last
-        # wave retires — for both kernel variants
+        # a wave-ready run forced through the step loop: no warm-up, no
+        # forward slots, and a lane stops when its last wave retires
         compiled = compile_netlist(netlist, ClockingScheme(n_phases))
         separation = wave_separation(compiled.depth, n_phases, pipelined)
         assert can_elide_tracking(compiled, separation)
@@ -369,7 +405,6 @@ class TestPlanner:
             live, compiled.depth, n_phases, separation, compiled.balanced,
             compiled.n_components,
             lanes=lanes if len(live) == 1 else None,
-            step_overhead=planner_step_overhead(track is None),
         )
         assert not plan.warm.any()
         assert (plan.n_inj == plan.chunk).all()  # forward == 0
@@ -410,7 +445,6 @@ class TestPlanner:
             lengths, compiled.depth, compiled.n_phases,
             wave_separation(compiled.depth, compiled.n_phases, pipelined),
             compiled.balanced, compiled.n_components, lanes=lanes,
-            step_overhead=planner_step_overhead(False),
         )
         got = {
             name: value.tolist() if hasattr(value, "tolist") else value
@@ -422,33 +456,79 @@ class TestPlanner:
         compiled = compile_netlist(balanced_netlist)
         args = ((32,) * 5, compiled.depth, compiled.n_phases, 3,
                 compiled.balanced, compiled.n_components)
-        plan = _plan_lanes(*args, step_overhead=planner_step_overhead(True))
-        again = _plan_lanes(
-            *args, step_overhead=planner_step_overhead(True)
-        )
+        plan = _plan_lanes(*args)
+        again = _plan_lanes(*args)
         assert again is plan
         with pytest.raises(ValueError):
             plan.chunk[0] = 0
 
     def test_a_served_batch_runs_the_plan_its_sizing_made(
-        self, balanced_netlist
+        self, unbalanced_netlist
     ):
-        # the batcher sizes a batch with plan_stream_batch; the pass
-        # that runs it must find that plan in the memo
-        streams = [_vectors(balanced_netlist.n_inputs, 9, seed=s)
+        # the batcher sizes a batch with plan_stream_batch; the tracked
+        # pass that runs it must find that plan in the memo
+        streams = [_vectors(unbalanced_netlist.n_inputs, 9, seed=s)
                    for s in range(7)]
-        plan_stream_batch(balanced_netlist, [9] * 7)
+        plan_stream_batch(unbalanced_netlist, [9] * 7)
         hits = _plan_lanes.cache_info().hits
-        simulate_streams_packed(balanced_netlist, streams)
+        simulate_streams_packed(unbalanced_netlist, streams)
         assert _plan_lanes.cache_info().hits == hits + 1
 
     def test_plan_matches_simulation(self, balanced_netlist):
         # the described plan is the plan the run actually uses: forcing
         # the same lane count reproduces the default report bit for bit
         vectors = _vectors(balanced_netlist.n_inputs, 200, seed=9)
-        info = describe_packed_run(balanced_netlist, 200)
-        default = simulate_waves_packed(balanced_netlist, vectors)
+        info = describe_packed_run(balanced_netlist, 200, track=True)
+        default = simulate_waves_packed(balanced_netlist, vectors, track=True)
         pinned = simulate_waves_packed(
-            balanced_netlist, vectors, lanes=info["lanes"]
+            balanced_netlist, vectors, lanes=info["lanes"], track=True
         )
         assert default == pinned
+
+
+class TestFunctionalPass:
+    """The levelized evaluator itself."""
+
+    def test_threads_share_one_compiled_netlist(self):
+        # shard threads and session dispatchers evaluate one compiled
+        # netlist at once: no run may see another's buffers
+        netlist = wave_pipeline(
+            build_benchmark("ctrl"), fanout_limit=3, verify=False
+        ).netlist
+        functional = compile_netlist(netlist).functional
+        tables = [
+            np.asarray(_vectors(netlist.n_inputs, 64 * (1 + k), seed=k),
+                       dtype=bool)
+            for k in range(4)
+        ]
+        expected = [
+            simulate_waves_packed(netlist, table, track=True).bits
+            for table in tables
+        ]
+        failures = []
+        barrier = threading.Barrier(len(tables))
+
+        def evaluate(index):
+            barrier.wait()
+            for _ in range(100):
+                if not np.array_equal(
+                    functional.run(tables[index]), expected[index]
+                ):
+                    failures.append(index)
+                    return
+
+        threads = [
+            threading.Thread(target=evaluate, args=(index,))
+            for index in range(len(tables))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -96,6 +96,8 @@ def assert_same_compiled(netlist: WaveNetlist, reference: ref.ListNetlist):
         got = _compile(netlist, p)
         want = ref.compile_netlist(reference, p)
         for field in dataclasses.fields(want):
+            if field.name == "functional":
+                continue  # not a phase table (see the reference)
             a = getattr(got, field.name)
             b = getattr(want, field.name)
             if isinstance(b, np.ndarray):

@@ -6,8 +6,9 @@ and **any** kernel configuration, N chunked ``feed()`` calls through a
 :class:`~repro.core.wavepipe.batch.PackedSession` produce reports
 **bit-identical** to the matching slices of one solo
 :func:`~repro.core.wavepipe.simulate_waves_packed` run over the
-concatenated waves.  The sweep covers {tracked, elided} x {1-word,
-3-word} states, pump/flush interleavings, and the same
+concatenated waves.  The sweep covers the functional pass and the
+tracked step loop at {planner, 1-word, 3-word} widths, pump/flush
+interleavings, and the same
 property lifted through :meth:`SimulationServer.open_stream` (thread
 and process shards) and :meth:`SimulationClient.open_stream` (over the
 socket).
@@ -53,7 +54,9 @@ TIMEOUT_S = 120.0
 
 #: The kernel matrix one schedule is swept across: tracking x lane
 #: width (lanes=16 pins a 1-word state, lanes=160 a 3-word one, None
-#: lets the session grow its own width).
+#: lets the session size its own blocks).  A lane pin names a plan of
+#: the tracked step loop, so a functional session (track=None) refuses
+#: one.
 KERNEL_MATRIX = [
     (track, lanes) for track in (None, True) for lanes in (None, 16, 160)
 ]
@@ -117,6 +120,10 @@ class TestPackedSessionDifferential:
     @pytest.mark.parametrize("track,lanes", KERNEL_MATRIX)
     def test_chunked_feeds_match_solo_slices(self, track, lanes):
         netlist = _balanced()
+        if track is None and lanes is not None:
+            with pytest.raises(SimulationError, match="functional"):
+                open_packed_session(netlist, lanes=lanes)
+            return
         schedule = [10, 0, 3, 27, 1, 24]
         waves, solo, expected = _expected_reports(netlist, schedule, seed=3)
         with open_packed_session(netlist, track=track, lanes=lanes) as session:
@@ -153,6 +160,8 @@ class TestPackedSessionDifferential:
         waves, solo, expected = _expected_reports(
             netlist, schedule, seed=seed
         )
+        if lanes is not None:
+            track = True  # only the step loop has lanes to pin
         with open_packed_session(netlist, track=track, lanes=lanes) as session:
             start = 0
             handles = []
@@ -243,11 +252,21 @@ class TestSessionLifecycle:
             assert session.take_done() == []  # cursor advanced
 
     def test_pump_runs_once_the_pending_waves_fill_a_run(self):
-        """A run holds the pinned 16 lanes' worth of waves: the first
-        10-wave feed waits, the second feed's pump runs both."""
+        """A tracked run holds the pinned 16 lanes' worth of waves: the
+        first 10-wave feed waits, the second feed's pump runs both.  A
+        functional session waits for 1,024 waves."""
         netlist = _balanced()
+        many = random_vectors(netlist.n_inputs, 1030, seed=5)
+        with open_packed_session(netlist) as session:
+            first = session.feed(many[:1000])
+            assert session.pump() == [] and not first.done
+            second = session.feed(many[1000:])
+            assert session.pump() == [first, second]
+        assert [
+            row for handle in (first, second) for row in handle.report.outputs
+        ] == simulate_waves_packed(netlist, many, track=True).outputs
         waves = random_vectors(netlist.n_inputs, 20, seed=4)
-        with open_packed_session(netlist, lanes=16) as session:
+        with open_packed_session(netlist, lanes=16, track=True) as session:
             first = session.feed(waves[:10])
             assert session.pump() == [] and not first.done
             assert session.describe()["pending_waves"] == 10

@@ -123,37 +123,38 @@ class TestEquivalenceAndReadiness:
 
 
 class TestNetlistSimulation:
-    """The vectorized equivalence check's building blocks."""
+    """:func:`simulate_equivalent`: the packed engine's functional
+    evaluator against the golden MIG simulation."""
 
     @pytest.mark.parametrize("fanout_limit", [None, 2, 3])
     def test_matches_golden_mig_simulation(self, adder_mig, fanout_limit):
-        from repro.core.equivalence import random_words
-        from repro.core.simulate import simulate_words
-        from repro.core.wavepipe import wave_pipeline
-        from repro.core.wavepipe.verify import simulate_netlist_words
-
-        words = random_words(adder_mig.n_pis, 3, seed=5)
-        golden = simulate_words(adder_mig, words)
         for netlist in (
             WaveNetlist.from_mig(adder_mig),
             wave_pipeline(adder_mig, fanout_limit=fanout_limit).netlist,
         ):
-            np.testing.assert_array_equal(
-                simulate_netlist_words(netlist, words), golden
-            )
+            assert simulate_equivalent(netlist, adder_mig) is True
+            # one complemented MAJ fan-in: the certificate fails and
+            # simulation must reject the netlist
+            mutant = _flip_complement(netlist)
+            assert not certify_equivalent(mutant, adder_mig)
+            assert simulate_equivalent(mutant, adder_mig) is False
 
     def test_constant_outputs_and_input_wires(self):
-        from repro.core.wavepipe.verify import simulate_netlist_words
-
+        # outputs that are constants, or an input through a complemented
+        # BUF/FOG chain, collapse to root literals without any MAJ row
         netlist = WaveNetlist()
         a = netlist.add_input()
         netlist.add_output(0)
         netlist.add_output(1)
         netlist.add_output(~netlist.add_buf(netlist.add_fog(a)))
-        words = np.array([[0b1010]], dtype=np.uint64)
-        out = simulate_netlist_words(netlist, words)
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        assert out.tolist() == [[0], [int(ones)], [int(ones ^ np.uint64(0b1010))]]
+        reference = Mig()
+        (x,) = reference.add_pis(1)
+        reference.add_po(0)
+        reference.add_po(1)
+        reference.add_po(~x)
+        assert simulate_equivalent(netlist, reference) is True
+        netlist.set_output(2, int(netlist.outputs[2]) ^ 1)
+        assert simulate_equivalent(netlist, reference) is False
 
 
 @lru_cache(maxsize=None)
