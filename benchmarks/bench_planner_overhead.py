@@ -1,21 +1,24 @@
 #!/usr/bin/env python
 """JSON benchmark: PLANNER_STEP_OVERHEAD sensitivity sweep (the plateau).
 
-:data:`repro.core.wavepipe.kernels.PLANNER_STEP_OVERHEAD` holds one
-calibration constant per tracking variant (tracked, elided); the lane
-planner turns it into a lane count through the sqrt cost model of
-``_default_lane_count``.  The constants are *plan-shape* knobs, not
-timing estimates: the claim documented next to them is that the
-throughput optimum is **flat for roughly a decade** around each
-committed value, so their exact magnitude does not matter.
+:data:`repro.core.wavepipe.batch.PLANNER_STEP_OVERHEAD` is the tracked
+step loop's calibration constant; the lane planner turns it into a lane
+count through the sqrt cost model of ``_default_lane_count``.  The
+constant is a *plan-shape* knob, not a timing estimate: the claim
+documented next to it is that the throughput optimum is **flat for
+roughly a decade** around the committed value, so its exact magnitude
+does not matter.  (Wave-ready runs left to the default take the
+functional pass, which plans no lanes, so the sweep forces the step
+loop with ``track=True``.)
 
-This bench makes that claim measurable.  For each tracking variant it
+This bench makes that claim measurable.  It
 
 1. sweeps multipliers ``1/64 .. 64`` over the committed constant,
-2. resolves the lane plan each swept constant would produce (via
-   :func:`describe_packed_run` with the constant patched in), and
-3. times the packed run **with that lane count pinned** through the
-   public ``lanes=`` override — the timed path never sees the patched
+2. resolves the lane count each swept constant would plan (the cost
+   model's ``_default_lane_count`` with the swept constant passed in),
+   and
+3. times the tracked run **with that lane count pinned** through the
+   public ``lanes=`` override — the timed path never sees the swept
    constant, only the plan shape it implies.
 
 The committed constant passes when its throughput is within
@@ -39,12 +42,18 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
+    compile_netlist,
     random_vectors,
     simulate_waves_packed,
     wave_pipeline,
 )
-from repro.core.wavepipe import kernels
-from repro.core.wavepipe.batch import describe_packed_run
+from repro.core.wavepipe.batch import (
+    PLANNER_STEP_OVERHEAD,
+    _default_lane_count,
+    _overlap_slots,
+    describe_packed_run,
+)
+from repro.core.wavepipe.simulator import wave_separation
 from repro.suite.table import build_benchmark
 
 #: Swept multipliers over the committed constant — two decades each way
@@ -67,48 +76,42 @@ TRIALS = 3
 MIN_WINDOW_S = 0.05
 
 
-def _variant_track(elided: bool):
-    """The ``track=`` argument that pins one tracking variant.
+def _planned_lanes(netlist, n_waves, clocking, step_overhead) -> int:
+    """Lanes the planner gives one pipelined tracked stream of *n_waves*
+    waves under *step_overhead*."""
+    compiled = compile_netlist(netlist, clocking)
+    separation = wave_separation(compiled.depth, compiled.n_phases, True)
+    warm, _ = _overlap_slots(
+        compiled.depth, compiled.n_phases, separation, compiled.balanced
+    )
+    return _default_lane_count(
+        n_waves, warm, separation, compiled.depth, compiled.n_components,
+        step_overhead,
+    )
 
-    ``track=True`` forces wave-id tracking; ``track=None`` lets the
-    elision proof fire (the suite's balanced netlists all pass it), so
-    it selects the elided kernel on the bench netlist.
-    """
-    return None if elided else True
 
-
-def sweep_variant(
-    elided: bool, netlist, stream, clocking: ClockingScheme
-) -> dict:
-    """Sweep and time one tracking variant's constant."""
-    committed = kernels.PLANNER_STEP_OVERHEAD[elided]
-    track = _variant_track(elided)
+def sweep(netlist, stream, clocking: ClockingScheme) -> dict:
+    """Sweep and time the step loop's constant."""
+    committed = PLANNER_STEP_OVERHEAD
     n_waves = len(stream)
     points = []
     for multiplier in MULTIPLIERS:
         swept = max(1, int(committed * multiplier))
-        # resolve the plan shape the swept constant implies; the patch
-        # never survives into the timed region below
-        kernels.PLANNER_STEP_OVERHEAD[elided] = swept
-        try:
-            plan = describe_packed_run(
-                netlist, n_waves, clocking=clocking, track=track
-            )
-        finally:
-            kernels.PLANNER_STEP_OVERHEAD[elided] = committed
+        lanes = _planned_lanes(netlist, n_waves, clocking, swept)
+        plan = describe_packed_run(
+            netlist, n_waves, clocking=clocking, lanes=lanes, track=True
+        )
         point = {
             "multiplier": multiplier,
             "overhead": swept,
             "lanes": plan["lanes"],
             "words": plan["words"],
             "steps": plan["steps"],
-            "elided_tracking": plan["elided_tracking"],
         }
 
         def run() -> None:
             simulate_waves_packed(
-                netlist, stream, clocking=clocking,
-                lanes=plan["lanes"], track=track,
+                netlist, stream, clocking=clocking, lanes=lanes, track=True,
             )
 
         # calibrate repeats so one trial fills the minimum window
@@ -129,7 +132,6 @@ def sweep_variant(
     rates = {p["multiplier"]: p["waves_per_s"] for p in points}
     best_rate = max(rates.values())
     return {
-        "elided": elided,
         "committed_overhead": committed,
         "points": points,
         "committed_rate": rates[1],
@@ -138,37 +140,35 @@ def sweep_variant(
     }
 
 
-def print_sweep_table(variants, file=sys.stderr) -> None:
-    """The full per-variant sweep, for humans reading a CI failure.
+def print_sweep_table(result, file=sys.stderr) -> None:
+    """The full sweep, for humans reading a CI failure.
 
     A bare "committed constant is N% below best" line is not actionable
     without seeing the shape of the sweep — whether the plateau moved,
     how far, and what lane/word plan each multiplier chose.
     """
-    for variant in variants:
+    print(
+        f"tracked step loop (committed overhead "
+        f"{result['committed_overhead']:g})",
+        file=file,
+    )
+    print(
+        f"  {'mult':>6} {'overhead':>10} {'lanes':>6} "
+        f"{'words':>6} {'steps':>7} {'waves/s':>12}",
+        file=file,
+    )
+    for point in result["points"]:
+        marker = " <- committed" if point["multiplier"] == 1 else ""
         print(
-            f"elided={variant['elided']}"
-            f" (committed overhead {variant['committed_overhead']:g})",
+            f"  {point['multiplier']:>6g} {point['overhead']:>10.3g} "
+            f"{point['lanes']:>6} {point['words']:>6} "
+            f"{point['steps']:>7} {point['waves_per_s']:12.0f}{marker}",
             file=file,
         )
-        print(
-            f"  {'mult':>6} {'overhead':>10} {'lanes':>6} "
-            f"{'words':>6} {'steps':>7} {'waves/s':>12}",
-            file=file,
-        )
-        for point in variant["points"]:
-            marker = " <- committed" if point["multiplier"] == 1 else ""
-            print(
-                f"  {point['multiplier']:>6g} {point['overhead']:>10.3g} "
-                f"{point['lanes']:>6} {point['words']:>6} "
-                f"{point['steps']:>7} {point['waves_per_s']:12.0f}{marker}",
-                file=file,
-            )
-        print(
-            f"  committed-vs-best: "
-            f"{variant['committed_vs_best']:.1%}",
-            file=file,
-        )
+    print(
+        f"  committed-vs-best: {result['committed_vs_best']:.1%}",
+        file=file,
+    )
 
 
 def main(argv=None) -> int:
@@ -176,12 +176,12 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller stream (CI smoke)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless each variant's "
-                             "committed constant is on the plateau")
+                        help="exit 1 unless the committed constant is "
+                             "on the plateau")
     parser.add_argument("--tolerance", type=float, default=0.35,
                         help="allowed throughput gap committed-vs-best "
-                             "(default 0.35 — the constants are "
-                             "order-of-magnitude knobs, the gate exists "
+                             "(default 0.35 — the constant is an "
+                             "order-of-magnitude knob, the gate exists "
                              "to catch a value whole decades off)")
     args = parser.parse_args(argv)
 
@@ -194,22 +194,17 @@ def main(argv=None) -> int:
         random_vectors(netlist.n_inputs, n_waves, seed=7), dtype=bool
     ).reshape(n_waves, netlist.n_inputs)
     # compile + scratch warm-up outside every timed window
-    simulate_waves_packed(netlist, stream[:256], clocking=clocking)
+    simulate_waves_packed(netlist, stream[:256], clocking=clocking, track=True)
 
-    variants = [
-        sweep_variant(elided, netlist, stream, clocking)
-        for elided in sorted(kernels.PLANNER_STEP_OVERHEAD)
-    ]
+    result = sweep(netlist, stream, clocking)
 
     failures = []
-    for variant in variants:
-        gap = 1.0 - variant["committed_vs_best"]
-        if gap > args.tolerance:
-            failures.append(
-                f"elided={variant['elided']}: "
-                f"committed constant is {gap:.0%} below the best "
-                f"swept multiplier (tolerance {args.tolerance:.0%})"
-            )
+    gap = 1.0 - result["committed_vs_best"]
+    if gap > args.tolerance:
+        failures.append(
+            f"committed constant is {gap:.0%} below the best swept "
+            f"multiplier (tolerance {args.tolerance:.0%})"
+        )
 
     document = {
         "benchmark": "planner_overhead",
@@ -221,7 +216,7 @@ def main(argv=None) -> int:
         },
         "multipliers": list(MULTIPLIERS),
         "tolerance": args.tolerance,
-        "variants": variants,
+        "sweep": result,
         "plateau_ok": not failures,
         "failures": failures,
     }
@@ -230,7 +225,7 @@ def main(argv=None) -> int:
     if args.check and failures:
         # show the whole sweep before the verdict: a plateau gate that
         # fails with only a percentage is undebuggable from CI logs
-        print_sweep_table(variants)
+        print_sweep_table(result)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
