@@ -506,14 +506,14 @@ def _describe(
     compiled, separation, functional = _resolve_run(
         netlist, clocking, pipelined, track, lanes
     )
-    live = tuple(int(waves) for waves in waves_per_stream if waves > 0)
     if functional:
         return {
             "functional": True,
             "balanced": compiled.balanced,
             "levels": len(compiled.functional.levels),
-            "words": -(-sum(live) // LANES_PER_WORD),
+            "words": -(-int(sum(waves_per_stream)) // LANES_PER_WORD),
         }
+    live = tuple(int(waves) for waves in waves_per_stream if waves > 0)
     plan = _plan_tracked(compiled, separation, live, lanes) if live else None
     return {
         "functional": False,
@@ -568,7 +568,7 @@ def plan_stream_batch(
     """
     info = _describe(netlist, waves_per_stream, clocking, pipelined, track)
     info["n_streams"] = len(waves_per_stream)
-    info["total_waves"] = int(sum(max(0, w) for w in waves_per_stream))
+    info["total_waves"] = int(sum(waves_per_stream))
     return info
 
 

@@ -48,9 +48,9 @@ from repro.core.wavepipe.batch import (
     _plan_lanes,
 )
 from repro.core.wavepipe.kernels import FunctionalNetlist
-from repro.suite.table import build_benchmark
 from repro.core.wavepipe.simulator import wave_separation
 from repro.errors import SimulationError
+from repro.suite.table import build_benchmark
 
 from helpers import build_adder_mig, build_random_mig
 from strategies import netlists, raw_netlists, stream_lengths
