@@ -80,6 +80,7 @@ if TYPE_CHECKING:  # the plan type lives with the planner
 _WORD = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+
 # ----------------------------------------------------------------------
 # the functional pass (levelized MAJ rows, 64 waves per word)
 # ----------------------------------------------------------------------
