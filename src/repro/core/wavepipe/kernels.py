@@ -101,7 +101,7 @@ class FunctionalNetlist:
     n_inputs: int
     n_rows: int  # 1 + n_inputs + MAJ rows
     width: int  # MAJ rows of the widest level
-    levels: tuple  # per level (src, neg, lo, hi), read-only views
+    levels: tuple  # per level (src, neg, lo, hi), views never written
     out_row: np.ndarray  # (n_outputs,) value row of each output's root
     out_neg: np.ndarray  # (n_outputs, 1) uint64 complement masks
 
@@ -136,7 +136,7 @@ class FunctionalNetlist:
         neg = np.empty((3 * n_maj, 1), dtype=_WORD)
         src[flat] = row[lits >> 1]
         neg[flat, 0] = _neg_masks(lits)
-        src.flags.writeable = False
+        # src stays writeable: np.take copies read-only indices per call
         neg.flags.writeable = False
         spans = bounds.tolist()
         out = root[outputs >> 1] ^ (outputs & 1)

@@ -18,6 +18,7 @@ the scalar oracle; this module covers the two kernels of
 
 import sys
 import threading
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.core.wavepipe.batch import (
     _overlap_slots,
     _plan_lanes,
 )
-from repro.core.wavepipe.kernels import FunctionalNetlist
+from repro.core.wavepipe.kernels import FunctionalNetlist, _evaluate_levels
 from repro.core.wavepipe.simulator import wave_separation
 from repro.errors import SimulationError
 from repro.suite.table import build_benchmark
@@ -488,6 +489,27 @@ class TestPlanner:
 
 class TestFunctionalPass:
     """The levelized evaluator itself."""
+
+    def test_the_level_loop_allocates_nothing(self):
+        # with the run's buffers made, the loop only takes views: no
+        # array, not even an index copy (np.take copies read-only
+        # indices on every call), is allocated per level.  One word
+        # keeps numpy's broadcasting iterator, which the complement
+        # masks need at wider runs, out of the measurement
+        netlist = wave_pipeline(
+            build_benchmark("i2c"), fanout_limit=3, verify=False
+        ).netlist
+        functional = compile_netlist(netlist).functional
+        values = np.zeros((functional.n_rows, 1), dtype=np.uint64)
+        gather = np.empty((3 * functional.width, 1), dtype=np.uint64)
+        _evaluate_levels(values, gather, functional.levels)
+        tracemalloc.start()
+        try:
+            _evaluate_levels(values, gather, functional.levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * functional.width * 8  # one level's indices
 
     def test_threads_share_one_compiled_netlist(self):
         # shard threads and session dispatchers evaluate one compiled
