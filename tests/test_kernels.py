@@ -303,8 +303,9 @@ class TestElisionSafety:
         self, netlist, seed, n_phases, n_waves
     ):
         # satellite property: wherever the scalar oracle reports
-        # interference, the static proof must have refused elision (and
-        # the auto path, which follows the proof, reproduces the events)
+        # interference, the static proof must have refused the
+        # functional pass (and the auto path, which follows the proof,
+        # reproduces the events)
         clocking = ClockingScheme(n_phases)
         vectors = _vectors(netlist.n_inputs, n_waves, seed=seed)
         scalar = simulate_waves(
@@ -330,8 +331,8 @@ class TestElisionSafety:
         assert str(packed.value) == str(reference.value)
 
     def test_strict_elided_is_silent_on_balanced(self, balanced_netlist):
-        # strict mode on the elided path: no events can exist, so the
-        # run completes exactly like the oracle's
+        # strict mode on the functional pass: no events can exist, so
+        # the run completes exactly like the oracle's
         vectors = _vectors(balanced_netlist.n_inputs, 20, seed=2)
         scalar = simulate_waves(
             balanced_netlist, vectors, strict=True, engine="python"

@@ -134,8 +134,8 @@ class TestPackedSessionDifferential:
                 start += count
             reports = [handle.report for handle in handles]
         _check_reports(session.separation, schedule, reports, expected)
-        # tracked sessions prove the elision: identical outputs, zero
-        # interference events on a balanced netlist
+        # tracked sessions prove the functional pass sound: identical
+        # outputs, zero interference events on a balanced netlist
         assert all(report.coherent for report in reports)
 
     @settings(max_examples=25, deadline=None)
