@@ -253,7 +253,6 @@ def simulate_waves(
     pipelined: bool = True,
     strict: bool = False,
     engine: str = "python",
-    track: Optional[bool] = None,
 ) -> WaveSimulationReport:
     """Drive *vectors* through *netlist* under a regeneration clock.
 
@@ -272,10 +271,6 @@ def simulate_waves(
         ``"python"`` for the scalar reference loop, ``"packed"`` for the
         bit-packed batched numpy engine (identical reports, see the module
         docstring).
-    track:
-        Packed engine only: ``True`` steps the tracked loop even on a
-        wave-ready run, ``None`` lets such a run take the functional pass
-        (the scalar engine always steps).
 
     Returns
     -------
@@ -288,7 +283,7 @@ def simulate_waves(
 
         return simulate_waves_packed(
             netlist, vectors, clocking=clocking,
-            pipelined=pipelined, strict=strict, track=track,
+            pipelined=pipelined, strict=strict,
         )
     return _simulate_waves_python(netlist, vectors, clocking, pipelined, strict)
 

@@ -5,10 +5,9 @@ fan-out restricted) netlist sustains one wave per clock cycle — ``1/p``
 waves per phase step under the ``p``-phase regeneration clock — while the
 non-pipelined baseline retires one wave per ``ceil(depth/p)`` cycles.
 This artifact measures both on the phase-accurate simulator (through
-:meth:`SuiteRunner.simulate` with ``track=True``, so the packed engine
-steps every clock phase, as on an unbalanced netlist, instead of taking
-the functional pass its wave-ready netlists allow) and compares against
-the analytic rates.
+:meth:`SuiteRunner.simulate`, whose packed engine steps every clock
+phase instead of taking the functional pass a wave-ready netlist
+allows) and compares against the analytic rates.
 
 Two measured columns per mode tell the measurement story:
 
@@ -120,12 +119,10 @@ def run(
     rows = []
     for name in runner.names:
         pipelined = runner.simulate(
-            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES,
-            pipelined=True, track=True,
+            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES, pipelined=True
         )
         sequential = runner.simulate(
-            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES,
-            pipelined=False, track=True,
+            name, CONFIG, n_waves=n_waves, n_phases=N_PHASES, pipelined=False
         )
         depth = pipelined.latency_steps
         cycles_per_wave = -(-depth // N_PHASES)  # ceil: first free cycle

@@ -35,6 +35,7 @@ from ..core.wavepipe import (
     random_vectors,
     simulate_streams,
     simulate_waves,
+    simulate_waves_packed,
     wave_pipeline,
 )
 from ..errors import ReproError
@@ -214,7 +215,6 @@ class SuiteRunner:
         n_phases: int = 3,
         pipelined: bool = True,
         seed: int = 0,
-        track: Optional[bool] = None,
     ) -> WaveSimulationReport:
         """Phase-accurate simulation of one transformed benchmark (memoized).
 
@@ -224,28 +224,30 @@ class SuiteRunner:
         dynamic validation stays cheap even on the full suite.  Both
         engines return bit-identical reports, so the memo key deliberately
         ignores *engine* — asking for the other engine recalls the cached
-        report instead of re-simulating.  *track* goes to the packed
-        engine (``True`` steps the clock even on a wave-ready run) and is
-        part of the key, so a stepped measurement is never served from a
-        functional run.  The memo holds at most
+        report instead of re-simulating.  The packed engine runs with
+        ``track=True``: it steps every clock phase, as the scalar engine
+        does, instead of taking the functional pass a wave-ready netlist
+        allows.  The memo holds at most
         :data:`SIMULATION_CACHE_LIMIT` reports (least-recently-used
         eviction), so long-lived runners stay bounded.
         """
         self._check_engine(engine)
-        key = (
-            "waves", name, config, n_waves, n_phases, pipelined, seed, track
-        )
+        key = ("waves", name, config, n_waves, n_phases, pipelined, seed)
         if key not in self._simulations:
             netlist = self.run(name, config).netlist
             vectors = random_vectors(netlist.n_inputs, n_waves, seed=seed)
-            self._simulations[key] = simulate_waves(
-                netlist,
-                vectors,
-                clocking=ClockingScheme(n_phases),
-                pipelined=pipelined,
-                engine=engine,
-                track=track,
-            )
+            clocking = ClockingScheme(n_phases)
+            if engine == "packed":
+                report = simulate_waves_packed(
+                    netlist, vectors, clocking=clocking,
+                    pipelined=pipelined, track=True,
+                )
+            else:
+                report = simulate_waves(
+                    netlist, vectors, clocking=clocking,
+                    pipelined=pipelined, engine=engine,
+                )
+            self._simulations[key] = report
         return self._simulations[key]
 
     def simulate_streams(
