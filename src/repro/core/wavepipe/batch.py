@@ -774,7 +774,8 @@ class PackedSession:
     them waiting (or the ``lanes=`` pin of a tracked session), or until
     :meth:`flush`, :meth:`close` or a feed's ``report`` runs them all.
     The fixed block bounds how long a block's first feed waits and the
-    pending table's size; a 16-word functional block already costs
+    pending table's size (a larger feed grows the table for its own run
+    only); a 16-word functional block already costs
     within 2.5x per wave of a 64-word one on ctrl and i2c.  A block pays
     its fixed cost once for all its feeds, which is what
     ``benchmarks/bench_streaming.py`` measures: a 10x64-wave session
@@ -926,6 +927,9 @@ class PackedSession:
             return  # no feed waits: empty ones resolve as they come
         bits = self._table[:self._n_pending]
         self._n_pending = 0
+        if len(self._table) > self._run_at:
+            # a large feed grew the table: keep only a block's worth
+            self._table = np.empty((self._run_at, bits.shape[1]), dtype=bool)
         if self._functional is not None:
             run = self._functional.run(bits)
         else:

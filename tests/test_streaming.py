@@ -192,9 +192,12 @@ class TestPackedSessionDifferential:
         assert outputs == oracle.outputs
 
     def test_widening_mid_stream_stays_identical(self):
-        """Runs of different widths in one stream stay identical."""
+        """Runs of different widths in one stream stay identical, and a
+        feed past the pending table's block grows it for one run only."""
         netlist = _balanced()
-        schedule = [3, 200, 61]  # 3 waves fit 1 word; 200 need 4
+        block = MAX_PLANNED_WORDS * LANES_PER_WORD
+        # 3 waves fit 1 word; 200 need 4; 2,100 outgrow the block
+        schedule = [3, 200, 2100, 61]
         waves, solo, expected = _expected_reports(netlist, schedule, seed=1)
         with open_packed_session(netlist) as session:
             start = 0
@@ -202,6 +205,7 @@ class TestPackedSessionDifferential:
             for count in schedule:
                 handles.append(session.feed(waves[start:start + count]))
                 session.flush()  # one run per feed, each its own width
+                assert len(session._table) == block
                 start += count
             reports = [handle.report for handle in handles]
         _check_reports(session.separation, schedule, reports, expected)
